@@ -24,24 +24,6 @@ def _row_limit() -> int:
     return int(os.environ.get("CATNORM_CHASE_LIMIT", DEFAULT_ROW_LIMIT))
 
 
-def _relativize(deps: DependencySet, universe: frozenset[str],
-                context: str | None):
-    """Keep FDs fully inside the universe and MVDs matching the context.
-
-    MVDs are context-bound: with a context name given only MVDs declared on
-    that context participate, otherwise any MVD whose attributes all lie in
-    the universe is taken to be stated over the universe itself.
-    """
-    fds = [f for f in deps.canonical_fds() if f.lhs | f.rhs <= universe]
-    mvds = []
-    for m in deps.mvds:
-        if context is not None and m.context != context:
-            continue
-        if m.lhs | m.rhs <= universe:
-            mvds.append(m)
-    return fds, mvds
-
-
 def _substitute(rows, originals, old, new):
     sub = lambda v: new if v == old else v
     rows = {tuple(sub(v) for v in row) for row in rows}
@@ -62,7 +44,7 @@ def chase(deps: DependencySet, lhs, universe, context: str | None = None):
 
     attrs = sorted(universe)
     idx = {a: i for i, a in enumerate(attrs)}
-    fds, mvds = _relativize(deps, universe, context)
+    local = deps.relativized(universe, context)
 
     counter = 0
     r1, r2 = [], []
@@ -83,7 +65,7 @@ def chase(deps: DependencySet, lhs, universe, context: str | None = None):
     while changed:
         changed = False
         # FD firing: equate values of agreeing rows
-        for f in fds:
+        for f in local.fds:
             li = [idx[a] for a in sorted(f.lhs)]
             (ri,) = [idx[a] for a in f.rhs]
             fired = True
@@ -103,7 +85,7 @@ def chase(deps: DependencySet, lhs, universe, context: str | None = None):
                     else:
                         groups[key] = row[ri]
         # MVD firing: insert swapped rows for agreeing pairs
-        for m in mvds:
+        for m in local.mvds:
             li = [idx[a] for a in sorted(m.lhs)]
             yi = [idx[a] for a in sorted(m.rhs - m.lhs)]
             fresh = set()

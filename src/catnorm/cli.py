@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .chase import ChaseLimitExceeded
@@ -24,6 +24,8 @@ from .core import (
     validate,
 )
 from .emit import (
+    DtdSchema,
+    RelationalSchema,
     decompose_hybrid,
     emit_dtd,
     emit_property_graph,
@@ -36,6 +38,7 @@ from .emit import (
 from .fdclosure import fd_closure_graph
 from .mvdclosure import fd_mvd_closure_graph
 from .nf import (
+    NfReport,
     check_4nf,
     check_bcnf,
     check_improved_bcnf,
@@ -106,20 +109,33 @@ def _check_deps(graph: CategoryGraph, deps: DependencySet) -> DependencySet:
                          mvds=tuple(deps.mvds))
 
 
+def _per_relation(check, schema: RelationalSchema,
+                  deps: DependencySet) -> list[NfReport]:
+    """One report per relation; a relation over the check's sort bound
+    gets an "unknown" verdict naming the bound."""
+    reports = []
+    for rel in schema.relations:
+        try:
+            reports.append(check(rel, deps))
+        except SchemaError as e:
+            reports.append(NfReport(subject=rel.name, verdict="unknown",
+                                    witnesses=[{"reason": str(e)}]))
+    return reports
+
+
 def _run_checks(config: PipelineConfig, graph: CategoryGraph,
-                deps: DependencySet, summary: list[str]) -> list:
+                deps: DependencySet, schema: RelationalSchema | None,
+                dtd: DtdSchema | None, summary: list[str]) -> list:
+    """Check the schema and DTD the run emitted."""
     reports = []
     check_deps = _check_deps(graph, deps)
-    if {"bcnf", "improved-bcnf", "4nf"} & set(config.checks):
-        schema = emit_relational(graph)
-        if "bcnf" in config.checks:
-            reports += [check_bcnf(r, check_deps) for r in schema.relations]
-        if "improved-bcnf" in config.checks:
-            reports.append(check_improved_bcnf(schema, check_deps))
-        if "4nf" in config.checks:
-            reports += [check_4nf(r, check_deps) for r in schema.relations]
+    if "bcnf" in config.checks:
+        reports += _per_relation(check_bcnf, schema, check_deps)
+    if "improved-bcnf" in config.checks:
+        reports.append(check_improved_bcnf(schema, check_deps))
+    if "4nf" in config.checks:
+        reports += _per_relation(check_4nf, schema, check_deps)
     if "xmlnf" in config.checks:
-        dtd = emit_dtd(graph)
         reports.append(check_xml_nf(dtd, derive_xml_fds(graph, dtd)))
     for rep in reports:
         summary.append(f"  check {rep.subject}: {rep.verdict}")
@@ -179,14 +195,18 @@ def run_pipeline(config: PipelineConfig) -> int:
             _write(config, f"{stem}.{config.level}rr.json",
                    serialize_schema(reduced, deps))
 
+        # each schema is emitted at most once and serves output and checks
+        wanted = set(config.targets) | set(config.checks)
+        schema = emit_relational(reduced) if wanted & {
+            "relational", "bcnf", "improved-bcnf", "4nf"} else None
+        dtd = emit_dtd(reduced) if wanted & {"dtd", "xmlnf"} else None
         if "relational" in config.targets:
-            schema = emit_relational(reduced)
             for w in schema.warnings:
                 _err(f"warning: {w}")
             summary.append(f"relational: {len(schema.relations)} relations")
             _write(config, f"{stem}.sql", render_sql(schema))
         if "dtd" in config.targets:
-            _write(config, f"{stem}.dtd", render_dtd(emit_dtd(reduced)))
+            _write(config, f"{stem}.dtd", render_dtd(dtd))
         if "pg" in config.targets:
             _write(config, f"{stem}.pg.json",
                    render_property_graph(emit_property_graph(reduced)))
@@ -195,7 +215,7 @@ def run_pipeline(config: PipelineConfig) -> int:
             summary.append(f"hybrid: {len(parts)} partitions")
             _write(config, f"{stem}.hybrid.json", render_hybrid(parts))
 
-        reports = _run_checks(config, reduced, deps, summary)
+        reports = _run_checks(config, reduced, deps, schema, dtd, summary)
     except ChaseLimitExceeded as e:
         _err(f"internal: {e}")
         return EXIT_INTERNAL

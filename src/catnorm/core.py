@@ -10,7 +10,7 @@ dependencies ride along in a :class:`DependencySet`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 OBJECT_KINDS = ("entity", "relationship", "attribute")
 
@@ -26,7 +26,6 @@ class ObjectDecl:
     name: str
     kind: str
     is_limit: bool = False
-    domain_tag: str | None = None
 
     def __post_init__(self):
         if not self.name:
@@ -106,6 +105,23 @@ class DependencySet:
                     out.append(c)
         return tuple(out)
 
+    def relativized(self, universe, context: str | None = None
+                    ) -> "DependencySet":
+        """The dependencies that speak about `universe` alone.
+
+        Canonical FDs must lie fully inside the universe.  MVDs are
+        context-bound: with a context name given only MVDs declared on that
+        context participate, otherwise any MVD whose attributes all lie in
+        the universe is taken to be stated over the universe itself.
+        """
+        universe = frozenset(universe)
+        return DependencySet(
+            fds=tuple(f for f in self.canonical_fds()
+                      if f.lhs | f.rhs <= universe),
+            mvds=tuple(m for m in self.mvds
+                       if (context is None or m.context == context)
+                       and m.lhs | m.rhs <= universe))
+
 
 @dataclass(frozen=True)
 class CategoryGraph:
@@ -114,8 +130,11 @@ class CategoryGraph:
     mvd_objects: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        names = [o.name for o in self.objects]
-        dup = {n for n in names if names.count(n) > 1}
+        seen, dup = set(), set()
+        for o in self.objects:
+            if o.name in seen:
+                dup.add(o.name)
+            seen.add(o.name)
         if dup:
             raise SchemaError(f"duplicate object name(s): {sorted(dup)}")
 
@@ -188,7 +207,7 @@ def composite_name(members) -> str:
 # ---------------------------------------------------------------------------
 
 _TOP_KEYS = {"objects", "arrows", "fds", "mvds", "mvd_objects", "provenance"}
-_OBJ_KEYS = {"name", "kind", "limit", "domain"}
+_OBJ_KEYS = {"name", "kind", "limit"}
 _ARROW_KEYS = {"name", "source", "target", "projection"}
 _FD_KEYS = {"lhs", "rhs"}
 _MVD_KEYS = {"lhs", "rhs", "context"}
@@ -221,7 +240,6 @@ def parse_schema(text: str) -> tuple[CategoryGraph, DependencySet]:
             name=entry["name"],
             kind=entry["kind"],
             is_limit=bool(entry.get("limit", False)),
-            domain_tag=entry.get("domain"),
         ))
     graph = CategoryGraph(objects=tuple(objects))
     declared = set(graph.object_map)
@@ -273,8 +291,6 @@ def serialize_schema(graph: CategoryGraph, deps: DependencySet,
         entry: dict = {"name": o.name, "kind": o.kind}
         if o.is_limit:
             entry["limit"] = True
-        if o.domain_tag is not None:
-            entry["domain"] = o.domain_tag
         doc["objects"].append(entry)
     for a in graph.arrows:
         doc["arrows"].append({"name": a.name, "source": a.source,

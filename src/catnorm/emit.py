@@ -45,8 +45,10 @@ def _is_referencing(o_kind: str) -> bool:
 
 
 def _unreduced_warning(graph: CategoryGraph) -> list[str]:
+    # a projection arrow defines its source's key: the reducer never tests
+    # one with derivable_without, so this check skips them too
     for a in graph.arrows:
-        if derivable_without(graph, a):
+        if not a.is_projection and derivable_without(graph, a):
             return [f"input graph is not reduced: arrow "
                     f"{a.source} -> {a.target} is redundant"]
     return []
@@ -116,13 +118,13 @@ def _clean(schema: RelationalSchema, graph: CategoryGraph):
         if rel.has_surrogate and rel.name not in referenced:
             rel.sort.remove(rel.name)
             rel.has_surrogate = False
-    # drop subsumed relations, and foreign keys pointing at dropped ones
+    # drop subsumed relations, and foreign keys pointing at dropped ones;
+    # of relations with equal column sets the first in document order stays
     kept: list[RelationDecl] = []
-    sorts = [(r, r.sort_set()) for r in schema.relations]
-    for rel, s in sorts:
-        subsumed = any(other is not rel and s <= s2
-                       and not (s == s2 and id(other) > id(rel))
-                       for other, s2 in sorts)
+    sorts = [r.sort_set() for r in schema.relations]
+    for i, (rel, s) in enumerate(zip(schema.relations, sorts)):
+        subsumed = any(s < s2 or (s == s2 and j < i)
+                       for j, s2 in enumerate(sorts))
         if subsumed:
             schema.warnings.append(f"relation {rel.name} subsumed and removed")
         else:
@@ -159,14 +161,6 @@ def _sql_type(col: str, rel: RelationDecl, fk_cols: set[str]) -> str:
     # surrogate keys and references to them are integers
     if (rel.has_surrogate and col == rel.name) or col in fk_cols:
         return "INTEGER"
-    return "TEXT"
-
-
-def sql_type_for(domain_tag: str | None) -> str:
-    if domain_tag in ("integer", "int"):
-        return "INTEGER"
-    if domain_tag in ("boolean", "bool"):
-        return "BOOLEAN"
     return "TEXT"
 
 

@@ -18,6 +18,7 @@ from .core import (
     ObjectDecl,
     SchemaError,
     composite_name,
+    graph_to_fds,
 )
 
 
@@ -108,61 +109,61 @@ def _member_determined(lhs: frozenset[str], fds) -> bool:
     return any(lhs <= attribute_closure({x}, fds).closure for x in sorted(lhs))
 
 
-def declared_lhs_sets(fds, mvds=()) -> list[frozenset[str]]:
-    out, seen = [], set()
-    for d in list(fds) + list(mvds):
-        if d.lhs not in seen:
-            seen.add(d.lhs)
-            out.append(d.lhs)
-    return out
+def materialize_declared(graph: CategoryGraph, fds,
+                         provenance: list | None = None
+                         ) -> tuple[CategoryGraph, list[FD]]:
+    """Give every composite declared LHS set an object of its own.
 
-
-def fd_closure_graph(graph: CategoryGraph, fds,
-                     provenance: list | None = None) -> CategoryGraph:
-    """Relevant closure of a graph under its own arrows plus declared FDs."""
-    from .core import graph_to_fds
-
+    Sets that some object already represents are skipped, and so are sets
+    determined by one of their members, which ride on that member.
+    Returns the grown graph with its FDs followed by the declared ones.
+    """
     fds = tuple(fds)
-    declared = declared_lhs_sets(fds)
     base = list(graph_to_fds(graph)) + list(fds)
-
-    # materialize composite declared LHS sets that no object represents yet;
-    # a set determined by one of its members rides on that member instead
-    for lhs in sorted(declared, key=lambda s: tuple(sorted(s))):
+    for lhs in sorted({f.lhs for f in fds}, key=lambda s: tuple(sorted(s))):
         if len(lhs) > 1 and _representative(graph, lhs) is None \
                 and not _member_determined(lhs, base):
             graph, _ = _materialize(graph, lhs, provenance)
+    return graph, list(graph_to_fds(graph)) + list(fds)
 
-    d_all = list(graph_to_fds(graph)) + list(fds)
+
+def add_inferred_arrows(graph: CategoryGraph, lhs_sets, fds, close,
+                        rule: str,
+                        provenance: list | None = None) -> CategoryGraph:
+    """Insert one arrow rep -> y per relevant inferred dependency.
+
+    The relevant seeds are the singletons among `lhs_sets` and the LHS sets
+    of the declared `fds`.  A seed counts only when an object represents
+    it; `close(seed)` gives its closure, and every object y of that closure
+    outside the seed gets an arrow from the representative, recorded under
+    `rule`.
+    """
     object_names = set(graph.object_map)
-
-    # relevant LHS sets: singleton objects appearing as an LHS, plus declared
-    seeds: list[frozenset[str]] = []
-    seen = set()
-    for f in d_all:
-        lhs = f.lhs
-        if lhs in seen:
-            continue
-        seen.add(lhs)
-        if len(lhs) == 1 and next(iter(lhs)) in object_names:
-            seeds.append(lhs)
-        elif lhs in declared:
-            seeds.append(lhs)
-
+    seeds = {lhs for lhs in lhs_sets if len(lhs) == 1} | {f.lhs for f in fds}
     for lhs in sorted(seeds, key=lambda s: tuple(sorted(s))):
         rep = _representative(graph, lhs)
         if rep is None:
             continue
-        closure = attribute_closure(lhs, d_all).closure
-        for y in sorted(closure):
+        for y in sorted(close(lhs)):
             if y == rep or y in lhs or y not in object_names:
                 continue
             if not graph.has_arrow(rep, y):
                 graph = graph.with_arrow(
                     Arrow(name=f"{rep}_to_{y}", source=rep, target=y))
                 if provenance is not None:
-                    provenance.append({"arrow": [rep, y], "rule": "fd-closure"})
+                    provenance.append({"arrow": [rep, y], "rule": rule})
     return graph
+
+
+def fd_closure_graph(graph: CategoryGraph, fds,
+                     provenance: list | None = None) -> CategoryGraph:
+    """Relevant closure of a graph under its own arrows plus declared FDs."""
+    fds = tuple(fds)
+    graph, d_all = materialize_declared(graph, fds, provenance)
+    return add_inferred_arrows(
+        graph, [f.lhs for f in d_all], fds,
+        lambda lhs: attribute_closure(lhs, d_all).closure, "fd-closure",
+        provenance)
 
 
 def covers(g1: CategoryGraph, g2: CategoryGraph, fds=()) -> bool:
@@ -182,8 +183,6 @@ def derivable_without(graph: CategoryGraph, arrow: Arrow, fds=()) -> bool:
     The declared FD that directly mirrors the arrow is excluded; otherwise
     every arrow echoing a declared dependency would count as redundant.
     """
-    from .core import graph_to_fds
-
     rest = graph.without_arrow(arrow)
     deps = list(graph_to_fds(rest)) + [
         f for f in fds

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FD, MVD, CategoryGraph, DependencySet, SchemaError
+from .core import MVD, CategoryGraph, DependencySet, SchemaError
 from .fdclosure import (
+    add_inferred_arrows,
     attribute_closure,
-    declared_lhs_sets,
-    fd_closure_graph,
-    _materialize,
-    _member_determined,
-    _representative,
+    materialize_declared,
 )
 
 
@@ -42,24 +39,16 @@ def dependency_basis(seed, deps: DependencySet, universe,
                      context: str | None = None) -> DependencyBasis:
     """Finest partition of universe - seed multidetermined by the seed.
 
-    Dependencies are relativized first: FDs must lie fully inside the
-    universe, MVDs must carry the given context (or, with no context given,
-    fit inside the universe).
+    Dependencies are relativized first (`DependencySet.relativized`); each
+    FD takes part as an MVD (FD-MVD promotion).
     """
     seed = frozenset(seed)
     universe = frozenset(universe)
     if not seed <= universe:
         raise SchemaError("dependency_basis: seed outside the universe")
 
-    pairs: list[tuple[frozenset, frozenset]] = []
-    for f in deps.canonical_fds():
-        if f.lhs | f.rhs <= universe:
-            pairs.append((f.lhs, f.rhs))  # FD-MVD promotion
-    for m in deps.mvds:
-        if context is not None and m.context != context:
-            continue
-        if m.lhs | m.rhs <= universe:
-            pairs.append((m.lhs, m.rhs))
+    local = deps.relativized(universe, context)
+    pairs = [(d.lhs, d.rhs) for d in local.fds + local.mvds]
 
     blocks = [universe - seed] if universe - seed else []
     changed = True
@@ -91,9 +80,8 @@ def mvd_membership(deps: DependencySet, query: MVD, universe) -> bool:
 
 def fd_rhs_attributes(deps: DependencySet, universe) -> frozenset[str]:
     out = set()
-    for f in deps.canonical_fds():
-        if f.lhs | f.rhs <= universe:
-            out |= f.rhs
+    for f in deps.relativized(universe).fds:
+        out |= f.rhs
     return frozenset(out)
 
 
@@ -154,53 +142,18 @@ def identify_mvd_objects(graph: CategoryGraph,
 def fd_mvd_closure_graph(graph: CategoryGraph, fds, mvds,
                          provenance: list | None = None) -> CategoryGraph:
     """Closure under FDs and MVDs: inferred-FD arrows plus MVD-object marks."""
-    from .core import graph_to_fds
-
     fds = tuple(fds)
     mvds = tuple(mvds)
-    # only FD left-hand sides are relevant closure seeds; MVD composites
-    # stay plain attribute sets for the dependency-basis machinery
-    declared = declared_lhs_sets(fds)
-    base = list(graph_to_fds(graph)) + list(fds)
-
-    for lhs in sorted(declared, key=lambda s: tuple(sorted(s))):
-        if len(lhs) > 1 and _representative(graph, lhs) is None \
-                and not _member_determined(lhs, base):
-            graph, _ = _materialize(graph, lhs, provenance)
-
-    d_fds = list(graph_to_fds(graph)) + list(fds)
+    # only FD left-hand sides are materialized; MVD composites stay plain
+    # attribute sets for the dependency-basis machinery
+    graph, d_fds = materialize_declared(graph, fds, provenance)
     deps = DependencySet(fds=tuple(d_fds), mvds=mvds)
     contexts = {m.context: graph.projection_targets(m.context) for m in mvds
                 if graph.has_object(m.context)}
-    object_names = set(graph.object_map)
-
-    seeds: list[frozenset[str]] = []
-    seen = set()
-    for lhs in [f.lhs for f in d_fds] + [m.lhs for m in mvds]:
-        if lhs in seen:
-            continue
-        seen.add(lhs)
-        if len(lhs) == 1 and next(iter(lhs)) in object_names:
-            seeds.append(lhs)
-        elif lhs in declared:
-            seeds.append(lhs)
-
-    from .core import Arrow
-
-    for lhs in sorted(seeds, key=lambda s: tuple(sorted(s))):
-        rep = _representative(graph, lhs)
-        if rep is None:
-            continue
-        closure = mixed_closure(lhs, deps, contexts)
-        for y in sorted(closure):
-            if y == rep or y in lhs or y not in object_names:
-                continue
-            if not graph.has_arrow(rep, y):
-                graph = graph.with_arrow(
-                    Arrow(name=f"{rep}_to_{y}", source=rep, target=y))
-                if provenance is not None:
-                    provenance.append({"arrow": [rep, y],
-                                       "rule": "fd-mvd-closure"})
+    graph = add_inferred_arrows(
+        graph, [d.lhs for d in d_fds + list(mvds)], fds,
+        lambda lhs: mixed_closure(lhs, deps, contexts), "fd-mvd-closure",
+        provenance)
     mvd_objs = identify_mvd_objects(graph, deps)
     if provenance is not None:
         for name in sorted(mvd_objs - graph.mvd_objects):

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .chase import DEFAULT_UNIVERSE_BOUND, chase
+from .chase import chase
 from .core import CategoryGraph, DependencySet, SchemaError
 from .emit import DtdSchema, RelationalSchema, RelationDecl
 from .fdclosure import attribute_closure

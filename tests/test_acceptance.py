@@ -143,17 +143,25 @@ def test_criterion_04_property_graph_goldens(fig5, fig6):
 
 # -- criterion 5: BCNF property suite ----------------------------------------
 
+def unreduced(schema) -> bool:
+    return any("not reduced" in w for w in schema.warnings)
+
+
 def test_criterion_05_bcnf_suite():
     start = time.perf_counter()
-    violations = []
+    violations, flagged = [], []
     for i, (graph, deps) in enumerate(fd_suite()):
         reduced, _ = first_reduced(graph, deps.fds)
         cd = combined(reduced, deps)
-        for rel in emit_relational(reduced).relations:
+        schema = emit_relational(reduced)
+        if unreduced(schema):
+            flagged.append(i)
+        for rel in schema.relations:
             report = check_bcnf(rel, cd)
             if report.verdict != "satisfied":
                 violations.append((i, rel.name, report.witnesses))
     assert not violations, violations[:5]
+    assert not flagged, flagged[:5]  # a 1RR is reduced
     assert time.perf_counter() - start < 60.0
 
 
@@ -161,16 +169,20 @@ def test_criterion_05_bcnf_suite():
 
 def test_criterion_06_4nf_suite():
     start = time.perf_counter()
-    violations = []
+    violations, flagged = [], []
     for seed in range(N_MVD_SCHEMAS):
         graph, deps = random_mvd_schema(random.Random(seed))
         reduced, _ = second_reduced(graph, deps.fds, deps.mvds)
         cd = combined(reduced, deps)
-        for rel in emit_relational(reduced).relations:
+        schema = emit_relational(reduced)
+        if unreduced(schema):
+            flagged.append(seed)
+        for rel in schema.relations:
             report = check_4nf(rel, cd)
             if report.verdict != "satisfied":
                 violations.append((seed, rel.name, report.witnesses))
     assert not violations, violations[:5]
+    assert not flagged, flagged[:5]  # a 2RR is reduced
     assert time.perf_counter() - start < 120.0
 
 

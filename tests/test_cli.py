@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from catnorm.cli import main
 
 
@@ -100,6 +102,25 @@ def test_check_clean_pipeline(capsys, data_dir, tmp_path):
                        str(data_dir / "fig5.json"))
     assert code == 0
     assert "satisfied" in err
+
+
+@pytest.mark.parametrize("check, width", [("bcnf", 13), ("4nf", 9)])
+def test_check_over_bound_is_unknown(capsys, tmp_path, check, width):
+    attrs = [f"a{i}" for i in range(width)]
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps({
+        "objects": [{"name": "E", "kind": "entity"}]
+        + [{"name": a, "kind": "attribute"} for a in attrs],
+        "arrows": [{"name": f"f_{a}", "source": "E", "target": a}
+                   for a in attrs]}))
+    code, _, err = run(capsys, "check", "--check", check,
+                       "--out-dir", str(tmp_path), str(doc))
+    assert code == 4
+    (report,) = json.loads((tmp_path / "wide.report.json").read_text())
+    bound = {"bcnf": "BCNF bound of 12", "4nf": "4NF bound of 8"}[check]
+    assert report["verdict"] == "unknown"
+    assert bound in report["witnesses"][0]["reason"]
+    assert "check E: unknown" in err
 
 
 def test_check_4nf_level2(capsys, data_dir, tmp_path):

@@ -50,6 +50,19 @@ def test_parse_duplicate_object():
         parse_schema(doc)
 
 
+def test_duplicate_names_reported_once_and_sorted():
+    objects = tuple(ObjectDecl(n, "entity") for n in "BACAB")
+    with pytest.raises(SchemaError,
+                       match=r"duplicate object name\(s\): \['A', 'B'\]$"):
+        CategoryGraph(objects=objects)
+
+
+def test_parse_rejects_domain_key():
+    doc = '{"objects": [{"name": "A", "kind": "attribute", "domain": "int"}]}'
+    with pytest.raises(SchemaError, match=r"unknown key\(s\) \['domain'\]"):
+        parse_schema(doc)
+
+
 def test_parse_syntax_error_has_position():
     with pytest.raises(SchemaError, match="line 1"):
         parse_schema("{nope")

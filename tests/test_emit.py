@@ -1,4 +1,6 @@
+import builtins
 import json
+import random
 
 import pytest
 
@@ -18,6 +20,8 @@ from catnorm import (
     render_sql,
     second_reduced,
 )
+from catnorm import emit
+from genschema import random_fd_schema
 
 
 @pytest.fixture
@@ -76,6 +80,24 @@ def test_relational_unreduced_warning(fig5):
     from catnorm import fd_closure_graph
     schema = emit_relational(fd_closure_graph(graph, deps.fds))
     assert schema.warnings and "not reduced" in schema.warnings[0]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_relational_equal_sorts_keep_first_in_document_order(monkeypatch,
+                                                             sign):
+    # the 1RR has O0 and O1 with one column set; O0 comes first.  The kept
+    # relation must not depend on allocation, so id() is replaced by two
+    # orderings, each the reverse of the other.
+    order: dict[int, int] = {}
+    monkeypatch.setattr(
+        emit, "id", lambda o: sign * order.setdefault(builtins.id(o),
+                                                      len(order)),
+        raising=False)
+    graph, deps = random_fd_schema(random.Random(22))
+    reduced, _ = first_reduced(graph, deps.fds)
+    schema = emit_relational(reduced)
+    assert [r.name for r in schema.relations] == ["O0"]
+    assert "relation O1 subsumed and removed" in schema.warnings
 
 
 def test_relational_bijective_candidate_key():
