@@ -114,3 +114,27 @@ def cluster_schema(m: int) -> tuple[CategoryGraph, DependencySet]:
         fds.append(FD(frozenset([attrs[1]]), frozenset([attrs[2]])))
     return (CategoryGraph(objects=tuple(objects), arrows=tuple(arrows)),
             DependencySet(fds=tuple(fds)))
+
+
+def chain_schema(m: int) -> tuple[CategoryGraph, DependencySet]:
+    """m attributes linked only by the declared FDs C0 -> C1 -> ... -> Cm-1;
+    the closure has an arrow for every ordered pair along the chain."""
+    names = [f"C{i}" for i in range(m)]
+    return (CategoryGraph(objects=tuple(ObjectDecl(n, "attribute")
+                                        for n in names)),
+            DependencySet(fds=tuple(FD(frozenset([s]), frozenset([t]))
+                                    for s, t in zip(names, names[1:]))))
+
+
+def composite_schema(k: int) -> tuple[CategoryGraph, DependencySet]:
+    """k groups E -> x, y, w with a declared composite FD {x, y} -> z; the
+    closure materializes one composite object x_y per group."""
+    objects, arrows, fds = [], [], []
+    for g in range(k):
+        e, x, y, z, w = (f"G{g}", f"x{g}", f"y{g}", f"z{g}", f"w{g}")
+        objects.append(ObjectDecl(e, "entity"))
+        objects += [ObjectDecl(a, "attribute") for a in (x, y, z, w)]
+        arrows += [Arrow(f"f_{e}_{a}", e, a) for a in (x, y, w)]
+        fds.append(FD(frozenset([x, y]), frozenset([z])))
+    return (CategoryGraph(objects=tuple(objects), arrows=tuple(arrows)),
+            DependencySet(fds=tuple(fds)))
