@@ -84,6 +84,26 @@ def _load(path: Path) -> tuple[CategoryGraph, DependencySet]:
     return parse_schema(text)
 
 
+def _load_assignment(path: Path, graph: CategoryGraph) -> dict[str, str]:
+    """The --assignment document: a JSON object naming a partition (a
+    string) for every object of the input."""
+    try:
+        assignment = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as e:
+        raise SchemaError(f"cannot read {path}: {e.strerror}")
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"assignment {path}: {e}")
+    if not isinstance(assignment, dict) or not all(
+            isinstance(v, str) for v in assignment.values()):
+        raise SchemaError(f"assignment {path} must map object names to "
+                          f"partition names")
+    missing = [o.name for o in graph.objects if o.name not in assignment]
+    if missing:
+        raise SchemaError(f"assignment {path} leaves objects unassigned: "
+                          f"{missing}")
+    return assignment
+
+
 def _write(config: PipelineConfig, name: str, content: str):
     if config.to_stdout:
         sys.stdout.write(content)
@@ -151,14 +171,13 @@ def run_pipeline(config: PipelineConfig) -> int:
         if not is_valid(report):
             return EXIT_INPUT
         if config.assignment_path is not None:
-            assignment = json.loads(
-                config.assignment_path.read_text(encoding="utf-8"))
+            assignment = _load_assignment(config.assignment_path, graph)
         else:
             assignment = None
         if "hybrid" in config.targets and assignment is None:
             _err("hybrid emission requires --assignment")
             return EXIT_INPUT
-    except (SchemaError, json.JSONDecodeError) as e:
+    except SchemaError as e:
         _err(str(e))
         return EXIT_INPUT
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 OBJECT_KINDS = ("entity", "relationship", "attribute")
 
@@ -89,6 +90,65 @@ def mvd(lhs, rhs, context: str) -> MVD:
     return MVD(frozenset(lhs), frozenset(rhs), context)
 
 
+class FDIndex:
+    """FDs indexed once for many attribute closures.
+
+    Linear-time counter scheme (Beeri & Bernstein, TODS 1979): each FD
+    keeps a count of still-missing LHS members; an attribute entering the
+    closure decrements the counts of the FDs listing it.  The counts live
+    in the query, so one index serves any number of closures, each of which
+    may leave out some FDs.  LHS members can be taken away in place; an FD
+    left with none never fires.
+    """
+
+    def __init__(self, fds=()):
+        self.need: list[int] = []                 # LHS size per FD id
+        self.rhs: list[frozenset[str]] = []
+        self.users: dict[str, list[int]] = {}     # attribute -> FD ids
+        for f in fds:
+            self.add(f.lhs, f.rhs)
+
+    def add(self, lhs, rhs) -> int:
+        i = len(self.rhs)
+        self.need.append(len(lhs))
+        self.rhs.append(frozenset(rhs))
+        for a in lhs:
+            self.users.setdefault(a, []).append(i)
+        return i
+
+    def shrink(self, i: int, attr: str) -> None:
+        """Take `attr` out of the LHS of FD `i`."""
+        self.users[attr].remove(i)
+        self.need[i] -= 1
+
+    def closure(self, seed, skip=(), until=None) -> set[str]:
+        """Closure of `seed` under every FD whose id is not in `skip`.  It
+        stops as soon as `until` enters, so the result is then partial."""
+        closure = set(seed)
+        if until in closure:
+            return closure
+        need, rhs, users = self.need, self.rhs, self.users
+        missing: dict[int, int] = {}
+        frontier = list(closure)
+        while frontier:
+            for i in users.get(frontier.pop(), ()):
+                if i in skip:
+                    continue
+                left = need[i]
+                if left > 1:
+                    left = missing.get(i, left) - 1
+                    missing[i] = left
+                    if left:
+                        continue
+                for b in rhs[i]:
+                    if b not in closure:
+                        closure.add(b)
+                        if b == until:
+                            return closure
+                        frontier.append(b)
+        return closure
+
+
 @dataclass(frozen=True)
 class DependencySet:
     fds: tuple[FD, ...] = ()
@@ -96,6 +156,16 @@ class DependencySet:
 
     def canonical_fds(self) -> tuple[FD, ...]:
         """Split every FD into singleton-rhs form, dropping duplicates."""
+        return self._canonical_fds
+
+    @cached_property
+    def fd_index(self) -> FDIndex:
+        """The canonical FDs indexed for closures; shared, so never to be
+        shrunk."""
+        return FDIndex(self.canonical_fds())
+
+    @cached_property
+    def _canonical_fds(self) -> tuple[FD, ...]:
         seen, out = set(), []
         for f in self.fds:
             for a in sorted(f.rhs):
@@ -139,8 +209,10 @@ class CategoryGraph:
             raise SchemaError(f"duplicate object name(s): {sorted(dup)}")
 
     # -- lookups -----------------------------------------------------------
+    # The indexes are built on first use and kept: the graph is frozen, and
+    # every update makes a new one.  Callers must not mutate what they get.
 
-    @property
+    @cached_property
     def object_map(self) -> dict[str, ObjectDecl]:
         return {o.name: o for o in self.objects}
 
@@ -148,26 +220,54 @@ class CategoryGraph:
         return self.object_map[name].kind
 
     def has_object(self, name: str) -> bool:
-        return any(o.name == name for o in self.objects)
+        return name in self.object_map
 
-    def arrow_pairs(self) -> set[tuple[str, str]]:
-        return {a.pair for a in self.arrows}
+    def arrow_pairs(self) -> frozenset[tuple[str, str]]:
+        return self._pairs
+
+    @cached_property
+    def _pairs(self) -> frozenset[tuple[str, str]]:
+        return frozenset(a.pair for a in self.arrows)
 
     def has_arrow(self, source: str, target: str) -> bool:
-        return (source, target) in self.arrow_pairs()
+        return (source, target) in self._pairs
+
+    def _neighbours(self, pairs) -> dict[str, list[str]]:
+        """Per name, the other ends of its (name, other) pairs, in document
+        order of the other ends."""
+        ends: dict[str, set[str]] = {}
+        for name, other in pairs:
+            ends.setdefault(name, set()).add(other)
+        order = {o.name: i for i, o in enumerate(self.objects)}
+        return {name: sorted((n for n in found if n in order),
+                             key=order.__getitem__)
+                for name, found in ends.items()}
+
+    @cached_property
+    def _out(self) -> dict[str, list[str]]:
+        return self._neighbours(a.pair for a in self.arrows)
+
+    @cached_property
+    def _in(self) -> dict[str, list[str]]:
+        return self._neighbours((a.target, a.source) for a in self.arrows)
 
     def out_neighbours(self, name: str) -> list[str]:
         """Targets of outgoing arrows, in document order of the targets."""
-        targets = {a.target for a in self.arrows if a.source == name}
-        return [o.name for o in self.objects if o.name in targets]
+        return list(self._out.get(name, ()))
 
     def in_neighbours(self, name: str) -> list[str]:
-        sources = {a.source for a in self.arrows if a.target == name}
-        return [o.name for o in self.objects if o.name in sources]
+        return list(self._in.get(name, ()))
+
+    @cached_property
+    def _projections(self) -> dict[str, frozenset[str]]:
+        ends: dict[str, set[str]] = {}
+        for a in self.arrows:
+            if a.is_projection:
+                ends.setdefault(a.source, set()).add(a.target)
+        return {name: frozenset(found) for name, found in ends.items()}
 
     def projection_targets(self, name: str) -> frozenset[str]:
-        return frozenset(a.target for a in self.arrows
-                         if a.source == name and a.is_projection)
+        return self._projections.get(name, frozenset())
 
     def relationship_names(self) -> list[str]:
         return [o.name for o in self.objects if o.kind == "relationship"]
@@ -175,10 +275,18 @@ class CategoryGraph:
     # -- functional updates --------------------------------------------------
 
     def with_arrow(self, arrow: Arrow) -> "CategoryGraph":
-        return replace(self, arrows=self.arrows + (arrow,))
+        return self.with_arrows((arrow,))
+
+    def with_arrows(self, arrows) -> "CategoryGraph":
+        return replace(self, arrows=self.arrows + tuple(arrows))
 
     def without_arrow(self, arrow: Arrow) -> "CategoryGraph":
-        return replace(self, arrows=tuple(a for a in self.arrows if a != arrow))
+        return self.without_arrows({arrow})
+
+    def without_arrows(self, arrows) -> "CategoryGraph":
+        """Drop every arrow equal to one of `arrows`."""
+        return replace(self, arrows=tuple(a for a in self.arrows
+                                          if a not in arrows))
 
     def with_object(self, obj: ObjectDecl, arrows: tuple[Arrow, ...] = ()) -> "CategoryGraph":
         return replace(self, objects=self.objects + (obj,),
@@ -213,29 +321,50 @@ _FD_KEYS = {"lhs", "rhs"}
 _MVD_KEYS = {"lhs", "rhs", "context"}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _entries(doc: dict, key: str) -> list[dict]:
+    """The entries of a top-level list, each checked to be an object."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"{key!r} must be a list")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise SchemaError(f"every entry of {key!r} must be an object, "
+                              f"not {entry!r}")
+    return entries
+
+
+def _check_keys(entry: dict, allowed: set, required: tuple[str, ...],
+                where: str) -> None:
+    """Reject unknown keys, and `required` keys without a string value."""
+    unknown = set(entry) - allowed
     if unknown:
         raise SchemaError(f"unknown key(s) {sorted(unknown)} in {where}")
+    for key in required:
+        if not isinstance(entry.get(key), str):
+            raise SchemaError(f"{where} needs a string {key!r}")
 
 
 def parse_schema(text: str) -> tuple[CategoryGraph, DependencySet]:
     """Parse a JSON schema document into a graph plus declared dependencies.
 
     Performs syntactic and referential checks only; semantic invariants are
-    the business of :func:`validate`.
+    the business of :func:`validate`.  Any malformed document raises
+    :class:`SchemaError`.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"syntax error at line {e.lineno}, column {e.colno}: {e.msg}")
+    except (ValueError, RecursionError) as e:  # over-long number, deep nesting
+        raise SchemaError(f"unreadable document: {e}")
     if not isinstance(doc, dict):
         raise SchemaError("top-level value must be an object")
-    _reject_unknown(doc, _TOP_KEYS, "document")
+    _check_keys(doc, _TOP_KEYS, (), "document")
 
     objects = []
-    for entry in doc.get("objects", []):
-        _reject_unknown(entry, _OBJ_KEYS, f"object {entry.get('name', '?')!r}")
+    for entry in _entries(doc, "objects"):
+        _check_keys(entry, _OBJ_KEYS, ("name", "kind"),
+                    f"object {entry.get('name', '?')!r}")
         objects.append(ObjectDecl(
             name=entry["name"],
             kind=entry["kind"],
@@ -245,8 +374,9 @@ def parse_schema(text: str) -> tuple[CategoryGraph, DependencySet]:
     declared = set(graph.object_map)
 
     arrows = []
-    for entry in doc.get("arrows", []):
-        _reject_unknown(entry, _ARROW_KEYS, f"arrow {entry.get('name', '?')!r}")
+    for entry in _entries(doc, "arrows"):
+        _check_keys(entry, _ARROW_KEYS, ("name", "source", "target"),
+                    f"arrow {entry.get('name', '?')!r}")
         for end in (entry["source"], entry["target"]):
             if end not in declared:
                 raise SchemaError(f"undeclared object {end}")
@@ -258,27 +388,32 @@ def parse_schema(text: str) -> tuple[CategoryGraph, DependencySet]:
         ))
 
     def _names(values, where):
+        if not isinstance(values, list) \
+                or not all(isinstance(v, str) for v in values):
+            raise SchemaError(f"{where} needs a list of object names, "
+                              f"not {values!r}")
         for v in values:
             if v not in declared:
                 raise SchemaError(f"undeclared object {v} in {where}")
         return frozenset(values)
 
     fds = []
-    for entry in doc.get("fds", []):
-        _reject_unknown(entry, _FD_KEYS, "fd")
-        fds.append(FD(_names(entry["lhs"], "fd"), _names(entry["rhs"], "fd")))
+    for entry in _entries(doc, "fds"):
+        _check_keys(entry, _FD_KEYS, (), "fd")
+        fds.append(FD(_names(entry.get("lhs"), "fd"),
+                      _names(entry.get("rhs"), "fd")))
     mvds = []
-    for entry in doc.get("mvds", []):
-        _reject_unknown(entry, _MVD_KEYS, "mvd")
+    for entry in _entries(doc, "mvds"):
+        _check_keys(entry, _MVD_KEYS, ("context",), "mvd")
         if entry["context"] not in declared:
             raise SchemaError(f"undeclared object {entry['context']} in mvd context")
-        mvds.append(MVD(_names(entry["lhs"], "mvd"), _names(entry["rhs"], "mvd"),
-                        entry["context"]))
+        mvds.append(MVD(_names(entry.get("lhs"), "mvd"),
+                        _names(entry.get("rhs"), "mvd"), entry["context"]))
 
     graph = CategoryGraph(
         objects=tuple(objects),
         arrows=tuple(arrows),
-        mvd_objects=frozenset(_names(doc.get("mvd_objects", []), "mvd_objects")),
+        mvd_objects=_names(doc.get("mvd_objects", []), "mvd_objects"),
     )
     return graph, DependencySet(fds=tuple(fds), mvds=tuple(mvds))
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .core import CategoryGraph, DependencySet, SchemaError, serialize_schema
-from .fdclosure import derivable_without
+from .fdclosure import RedundancyIndex, derivable_without
 
 EPSILON = "ε"
 PCDATA = "#P"
@@ -47,8 +47,9 @@ def _is_referencing(o_kind: str) -> bool:
 def _unreduced_warning(graph: CategoryGraph) -> list[str]:
     # a projection arrow defines its source's key: the reducer never tests
     # one with derivable_without, so this check skips them too
+    index = RedundancyIndex(graph)
     for a in graph.arrows:
-        if not a.is_projection and derivable_without(graph, a):
+        if not a.is_projection and derivable_without(index, a):
             return [f"input graph is not reduced: arrow "
                     f"{a.source} -> {a.target} is redundant"]
     return []

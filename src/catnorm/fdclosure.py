@@ -15,6 +15,7 @@ from .core import (
     FD,
     Arrow,
     CategoryGraph,
+    FDIndex,
     ObjectDecl,
     SchemaError,
     composite_name,
@@ -29,34 +30,12 @@ class AttributeClosureResult:
 
 
 def attribute_closure(seed, fds) -> AttributeClosureResult:
-    """Least fixpoint of `add rhs whenever lhs is contained`.
-
-    Linear-time counter scheme: each FD keeps a count of still-missing LHS
-    members; an attribute entering the closure decrements the counts of the
-    FDs listing it.
-    """
+    """Least fixpoint of `add rhs whenever lhs is contained`."""
     seed = frozenset(seed)
     if not seed:
         raise SchemaError("attribute_closure: empty seed")
-    fds = list(fds)
-    missing = [len(f.lhs) for f in fds]
-    by_attr: dict[str, list[int]] = {}
-    for i, f in enumerate(fds):
-        for a in f.lhs:
-            by_attr.setdefault(a, []).append(i)
-
-    closure = set(seed)
-    frontier = list(seed)
-    while frontier:
-        attr = frontier.pop()
-        for i in by_attr.get(attr, ()):
-            missing[i] -= 1
-            if missing[i] == 0:
-                for b in fds[i].rhs:
-                    if b not in closure:
-                        closure.add(b)
-                        frontier.append(b)
-    return AttributeClosureResult(seed=seed, closure=frozenset(closure))
+    return AttributeClosureResult(
+        seed=seed, closure=frozenset(FDIndex(fds).closure(seed)))
 
 
 def _representative(graph: CategoryGraph, lhs: frozenset[str]) -> str | None:
@@ -102,11 +81,10 @@ def _materialize(graph: CategoryGraph, lhs: frozenset[str],
     return graph, name
 
 
-def _member_determined(lhs: frozenset[str], fds) -> bool:
+def _member_determined(lhs: frozenset[str], index: FDIndex) -> bool:
     """True when a single member already determines the whole set; such a
     set needs no composite object of its own."""
-    fds = list(fds)
-    return any(lhs <= attribute_closure({x}, fds).closure for x in sorted(lhs))
+    return any(lhs <= index.closure({x}) for x in sorted(lhs))
 
 
 def materialize_declared(graph: CategoryGraph, fds,
@@ -119,7 +97,7 @@ def materialize_declared(graph: CategoryGraph, fds,
     Returns the grown graph with its FDs followed by the declared ones.
     """
     fds = tuple(fds)
-    base = list(graph_to_fds(graph)) + list(fds)
+    base = FDIndex(graph_to_fds(graph) + fds)
     for lhs in sorted({f.lhs for f in fds}, key=lambda s: tuple(sorted(s))):
         if len(lhs) > 1 and _representative(graph, lhs) is None \
                 and not _member_determined(lhs, base):
@@ -138,21 +116,22 @@ def add_inferred_arrows(graph: CategoryGraph, lhs_sets, fds, close,
     outside the seed gets an arrow from the representative, recorded under
     `rule`.
     """
-    object_names = set(graph.object_map)
+    pairs = set(graph.arrow_pairs())
+    added = []
     seeds = {lhs for lhs in lhs_sets if len(lhs) == 1} | {f.lhs for f in fds}
     for lhs in sorted(seeds, key=lambda s: tuple(sorted(s))):
         rep = _representative(graph, lhs)
         if rep is None:
             continue
         for y in sorted(close(lhs)):
-            if y == rep or y in lhs or y not in object_names:
+            if y == rep or y in lhs or not graph.has_object(y) \
+                    or (rep, y) in pairs:
                 continue
-            if not graph.has_arrow(rep, y):
-                graph = graph.with_arrow(
-                    Arrow(name=f"{rep}_to_{y}", source=rep, target=y))
-                if provenance is not None:
-                    provenance.append({"arrow": [rep, y], "rule": rule})
-    return graph
+            pairs.add((rep, y))
+            added.append(Arrow(name=f"{rep}_to_{y}", source=rep, target=y))
+            if provenance is not None:
+                provenance.append({"arrow": [rep, y], "rule": rule})
+    return graph.with_arrows(added)
 
 
 def fd_closure_graph(graph: CategoryGraph, fds,
@@ -160,10 +139,9 @@ def fd_closure_graph(graph: CategoryGraph, fds,
     """Relevant closure of a graph under its own arrows plus declared FDs."""
     fds = tuple(fds)
     graph, d_all = materialize_declared(graph, fds, provenance)
-    return add_inferred_arrows(
-        graph, [f.lhs for f in d_all], fds,
-        lambda lhs: attribute_closure(lhs, d_all).closure, "fd-closure",
-        provenance)
+    return add_inferred_arrows(graph, [f.lhs for f in d_all], fds,
+                               FDIndex(d_all).closure, "fd-closure",
+                               provenance)
 
 
 def covers(g1: CategoryGraph, g2: CategoryGraph, fds=()) -> bool:
@@ -176,19 +154,76 @@ def equivalent(g1: CategoryGraph, g2: CategoryGraph, fds=()) -> bool:
     return covers(g1, g2, fds) and covers(g2, g1, fds)
 
 
-def derivable_without(graph: CategoryGraph, arrow: Arrow, fds=()) -> bool:
-    """Can `arrow` be re-derived from the remaining arrows plus the declared
-    dependencies?
+class RedundancyIndex:
+    """A graph's dependencies, indexed once to test many of its arrows for
+    redundancy: one FD per arrow, the key FD pi -> R of every relationship
+    R with projection targets pi, and the declared FDs.
+
+    A test masks every copy of the arrow under question; removing an arrow
+    updates the index in place, shrinking its source's key when the arrow
+    was the last projection to its target.
+    """
+
+    def __init__(self, graph: CategoryGraph, fds=()):
+        self.kinds = {o.name: o.kind for o in graph.objects}
+        self.fds = FDIndex()
+        self.arrow_ids: dict[Arrow, list[int]] = {}
+        # projection arrows per relationship and target, and key FD ids
+        self.projections: dict[str, dict[str, int]] = {}
+        for a in graph.arrows:
+            self.arrow_ids.setdefault(a, []).append(
+                self.fds.add({a.source}, {a.target}))
+            if a.is_projection and self.kinds.get(a.source) == "relationship":
+                counts = self.projections.setdefault(a.source, {})
+                counts[a.target] = counts.get(a.target, 0) + 1
+        self.keys = {name: self.fds.add(counts, {name})
+                     for name, counts in self.projections.items()}
+        # declared FDs with a singleton LHS, which may mirror an arrow
+        self.mirrors: dict[str, list[tuple[int, frozenset[str]]]] = {}
+        for f in fds:
+            i = self.fds.add(f.lhs, f.rhs)
+            if len(f.lhs) == 1:
+                (x,) = f.lhs
+                self.mirrors.setdefault(x, []).append((i, f.rhs))
+
+    def projections_without(self, arrow: Arrow) -> set[str]:
+        """Projection targets of the arrow's source with the arrow masked."""
+        counts = self.projections.get(arrow.source, {})
+        out = set(counts)
+        if arrow.is_projection \
+                and counts.get(arrow.target) == len(self.arrow_ids[arrow]):
+            out.discard(arrow.target)
+        return out
+
+    def derives(self, seed, arrow: Arrow, skip=()) -> bool:
+        """Does `seed` reach the arrow's target with the arrow masked and
+        the FDs of ids `skip` left out?"""
+        skip = {*self.arrow_ids[arrow], *skip}
+        return arrow.target in self.fds.closure(seed, skip,
+                                                until=arrow.target)
+
+    def remove(self, arrow: Arrow) -> None:
+        copies = self.arrow_ids.pop(arrow)
+        for i in copies:
+            self.fds.shrink(i, arrow.source)
+        counts = self.projections.get(arrow.source)
+        if arrow.is_projection and counts is not None:
+            counts[arrow.target] -= len(copies)
+            if not counts[arrow.target]:
+                del counts[arrow.target]
+                self.fds.shrink(self.keys[arrow.source], arrow.target)
+
+
+def derivable_without(index: RedundancyIndex, arrow: Arrow) -> bool:
+    """Can a composed (non-projection) `arrow` be re-derived from the
+    remaining arrows plus the dependencies?
 
     The declared FD that directly mirrors the arrow is excluded; otherwise
     every arrow echoing a declared dependency would count as redundant.
     """
-    rest = graph.without_arrow(arrow)
-    deps = list(graph_to_fds(rest)) + [
-        f for f in fds
-        if not (f.lhs == frozenset({arrow.source}) and arrow.target in f.rhs)]
-    closure = attribute_closure({arrow.source}, deps).closure
-    return arrow.target in closure
+    mirrors = [i for i, rhs in index.mirrors.get(arrow.source, ())
+               if arrow.target in rhs]
+    return index.derives({arrow.source}, arrow, mirrors)
 
 
 def is_redundant_arrow(arrow: Arrow, graph: CategoryGraph, fds=()) -> bool:

@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import MVD, CategoryGraph, DependencySet, SchemaError
-from .fdclosure import (
-    add_inferred_arrows,
-    attribute_closure,
-    materialize_declared,
-)
+from .fdclosure import add_inferred_arrows, materialize_declared
 
 
 @dataclass(frozen=True)
@@ -94,7 +90,7 @@ def mixed_closure(seed, deps: DependencySet,
     functionally determined attribute (the FD/MVD interaction rule).
     Iterates to mutual stability.
     """
-    closure = set(attribute_closure(seed, deps.canonical_fds()).closure)
+    closure = deps.fd_index.closure(seed)
     changed = True
     while changed:
         changed = False
@@ -111,8 +107,7 @@ def mixed_closure(seed, deps: DependencySet,
                         closure.add(a)
                         changed = True
         if changed:
-            closure = set(attribute_closure(closure,
-                                            deps.canonical_fds()).closure)
+            closure = deps.fd_index.closure(closure)
     return frozenset(closure)
 
 

@@ -43,14 +43,6 @@ def _subsets(items, max_size=None):
         yield from (frozenset(c) for c in combinations(items, k))
 
 
-def _closure_of(seed, fds) -> frozenset[str]:
-    return attribute_closure(seed, fds).closure
-
-
-def is_superkey(x, sort_set, fds) -> bool:
-    return sort_set <= _closure_of(x, fds)
-
-
 def check_bcnf(rel: RelationDecl, deps: DependencySet) -> NfReport:
     """Every nontrivial projected FD X -> A must have X a superkey."""
     sort_set = rel.sort_set()
@@ -58,11 +50,10 @@ def check_bcnf(rel: RelationDecl, deps: DependencySet) -> NfReport:
         raise SchemaError(
             f"relation {rel.name} has {len(sort_set)} attributes, over the "
             f"BCNF bound of {BCNF_SORT_BOUND}")
-    fds = deps.canonical_fds()
     report = NfReport(subject=rel.name, verdict="satisfied")
     witnessed: set[str] = set()
     for x in _subsets(sort_set):
-        closure = _closure_of(x, fds)
+        closure = deps.fd_index.closure(x)
         if sort_set <= closure:
             continue
         for a in sorted((closure & sort_set) - x):
@@ -92,7 +83,7 @@ def check_improved_bcnf(schema: RelationalSchema,
         external = [f for f in fds if not (f.lhs | f.rhs <= sort_set)]
         if not external:
             continue
-        closure = _closure_of(key, external)
+        closure = attribute_closure(key, external).closure
         for b in sorted(sort_set - key):
             if b in closure:
                 report.witnesses.append({
@@ -112,11 +103,10 @@ def check_4nf(rel: RelationDecl, deps: DependencySet) -> NfReport:
         raise SchemaError(
             f"relation {rel.name} has {len(sort_set)} attributes, over the "
             f"4NF bound of {FOURNF_SORT_BOUND}")
-    fds = deps.canonical_fds()
     report = NfReport(subject=rel.name, verdict="satisfied")
     attrs_sorted = sorted(sort_set)
     for x in _subsets(sort_set, max_size=len(sort_set) - 1):
-        if is_superkey(x, sort_set, fds):
+        if sort_set <= deps.fd_index.closure(x):  # x is a superkey
             continue
         rows, r1, r2, attrs = chase(deps, x, sort_set)
         idx = {a: i for i, a in enumerate(attrs)}

@@ -4,10 +4,10 @@ derivable-object elimination)."""
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 
 from .core import (
-    FD,
     MVD,
     Arrow,
     CategoryGraph,
@@ -16,7 +16,7 @@ from .core import (
     SchemaError,
     graph_to_fds,
 )
-from .fdclosure import attribute_closure, derivable_without, fd_closure_graph
+from .fdclosure import RedundancyIndex, derivable_without, fd_closure_graph
 from .mvdclosure import dependency_basis, fd_mvd_closure_graph, identify_mvd_objects
 
 
@@ -42,19 +42,21 @@ class ReductionTrace:
         return out
 
 
-def _derivation_path(graph: CategoryGraph, source: str, target: str) -> str:
-    """Shortest arrow path witnessing that source still reaches target."""
-    frontier = [(source, [source])]
+def _derivation_path(successors: dict[str, list[str]], source: str,
+                     target: str) -> str:
+    """Shortest arrow path witnessing that source still reaches target;
+    `successors` lists each object's arrow targets in sorted order."""
+    frontier = deque([(source, [source])])
     seen = {source}
     while frontier:
-        node, path = frontier.pop(0)
-        for a in sorted(graph.arrows, key=lambda a: a.pair):
-            if a.source != node or a.target in seen:
+        node, path = frontier.popleft()
+        for t in successors.get(node, ()):
+            if t in seen:
                 continue
-            if a.target == target:
+            if t == target:
                 return " -> ".join(path + [target])
-            seen.add(a.target)
-            frontier.append((a.target, path + [a.target]))
+            seen.add(t)
+            frontier.append((t, path + [t]))
     return "via relationship key dependencies"
 
 
@@ -65,46 +67,38 @@ def _removal_order(graph: CategoryGraph) -> list[Arrow]:
     return sorted(composed, key=key) + sorted(projections, key=key)
 
 
-def _key_prunable(graph: CategoryGraph, arrow: Arrow, fds) -> bool:
+def _key_prunable(index: RedundancyIndex, arrow: Arrow) -> bool:
     """An arrow out of a relationship object is redundant when its target
     already follows from the remaining projection targets.  Routes through
     the source itself are excluded; they would let the source's own key
     dependency justify shrinking that very key."""
-    if graph.object_map[arrow.source].kind != "relationship":
+    if index.kinds[arrow.source] != "relationship":
         return False
-    rest = graph.without_arrow(arrow)
-    base = rest.projection_targets(arrow.source)
+    base = index.projections_without(arrow)
     if not base:
         return False
-    deps = [FD(frozenset([a.source]), frozenset([a.target]))
-            for a in rest.arrows]
-    for o in rest.objects:
-        if o.kind != "relationship":
-            continue
-        pi = rest.projection_targets(o.name)
-        if not pi:
-            continue
-        deps.append(FD(frozenset([o.name]), pi))
-        if o.name != arrow.source:  # the source's own key must not help
-            deps.append(FD(pi, frozenset([o.name])))
-    deps.extend(fds)
-    return arrow.target in attribute_closure(base, deps).closure
+    return index.derives(base, arrow, [index.keys[arrow.source]])
 
 
 def _prune_redundant_arrows(graph: CategoryGraph, fds) -> CategoryGraph:
+    """One greedy pass in removal order; every test asks one index, which
+    each removal updates in place."""
+    index = RedundancyIndex(graph, fds)
+    removed: set[Arrow] = set()
     for arrow in _removal_order(graph):
-        if arrow not in graph.arrows:
+        if arrow in removed:
             continue
         if arrow.is_projection:
             # never shrink a projection set on the strength of the key
             # dependency it defines
-            removable = _key_prunable(graph, arrow, fds)
+            removable = _key_prunable(index, arrow)
         else:
-            removable = derivable_without(graph, arrow, fds) \
-                or _key_prunable(graph, arrow, fds)
+            removable = derivable_without(index, arrow) \
+                or _key_prunable(index, arrow)
         if removable:
-            graph = graph.without_arrow(arrow)
-    return graph
+            index.remove(arrow)
+            removed.add(arrow)
+    return graph.without_arrows(removed)
 
 
 def _prune_to_fixpoint(graph: CategoryGraph, close_fn, fds) -> CategoryGraph:
@@ -130,10 +124,14 @@ def _prune_to_fixpoint(graph: CategoryGraph, close_fn, fds) -> CategoryGraph:
 def _record_removed(baseline: CategoryGraph, final: CategoryGraph,
                     trace: ReductionTrace) -> None:
     kept = final.arrow_pairs()
+    successors: dict[str, list[str]] = {}
+    for source, target in sorted(kept):
+        successors.setdefault(source, []).append(target)
     for arrow in sorted(baseline.arrows, key=lambda a: a.pair):
         if arrow.pair not in kept:
             trace.removed_arrows.append(
-                (arrow, _derivation_path(final, arrow.source, arrow.target)))
+                (arrow, _derivation_path(successors, arrow.source,
+                                         arrow.target)))
 
 
 def first_reduced(graph: CategoryGraph, fds) -> tuple[CategoryGraph, ReductionTrace]:

@@ -143,6 +143,23 @@ def test_hybrid_subcommand(capsys, data_dir, tmp_path):
     assert {p["partition"] for p in doc} == {"graph", "relational"}
 
 
+@pytest.mark.parametrize("assignment, message", [
+    ({"D": "graph", "E": "graph", "A": "relational"}, "unassigned"),
+    (["D", "E", "A", "B", "C"], "must map object names"),
+    ({"D": "graph", "E": "graph", "A": "relational", "B": 1, "C": "x"},
+     "must map object names"),
+])
+def test_hybrid_bad_assignment_is_input_error(capsys, data_dir, tmp_path,
+                                              assignment, message):
+    path = tmp_path / "assign.json"
+    path.write_text(json.dumps(assignment))
+    code, _, err = run(capsys, "hybrid", "--assignment", str(path),
+                       "--out-dir", str(tmp_path),
+                       str(data_dir / "fig5.json"))
+    assert code == 1 and message in err
+    assert not (tmp_path / "fig5.hybrid.json").exists()
+
+
 def test_hybrid_requires_assignment(capsys, data_dir):
     code, _, err = run(capsys, "hybrid", str(data_dir / "fig5.json"))
     assert code == 1 and "assignment" in err

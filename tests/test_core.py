@@ -63,6 +63,50 @@ def test_parse_rejects_domain_key():
         parse_schema(doc)
 
 
+_AB = '{"name": "A", "kind": "entity"}, {"name": "B", "kind": "entity"}'
+
+
+_MALFORMED = {
+    "non-object entry": ('{"objects": [1]}', "must be an object"),
+    "string objects": ('{"objects": "AB"}', "must be a list"),
+    "missing name": ('{"objects": [{"kind": "entity"}]}',
+                     "needs a string 'name'"),
+    "list name": ('{"objects": [{"name": ["A"], "kind": "entity"}]}',
+                  "needs a string 'name'"),
+    "number kind": ('{"objects": [{"name": "A", "kind": 3}]}',
+                    "needs a string 'kind'"),
+    "missing target": (
+        f'{{"objects": [{_AB}], "arrows": [{{"name": "f", "source": "A"}}]}}',
+        "needs a string 'target'"),
+    "list source": (
+        f'{{"objects": [{_AB}], "arrows": [{{"name": "f", "source": ["A"], '
+        f'"target": "B"}}]}}', "needs a string 'source'"),
+    "string lhs": (
+        f'{{"objects": [{_AB}], "fds": [{{"lhs": "AB", "rhs": ["A"]}}]}}',
+        "list of object names"),
+    "string rhs": (
+        f'{{"objects": [{_AB}], "fds": [{{"lhs": ["A"], "rhs": "B"}}]}}',
+        "list of object names"),
+    "nested lhs": (
+        f'{{"objects": [{_AB}], "fds": [{{"lhs": [["A"]], "rhs": ["B"]}}]}}',
+        "list of object names"),
+    "missing lhs": (f'{{"objects": [{_AB}], "fds": [{{"rhs": ["B"]}}]}}',
+                    "list of object names"),
+    "list context": (
+        f'{{"objects": [{_AB}], "mvds": [{{"lhs": ["A"], "rhs": ["B"], '
+        f'"context": ["A"]}}]}}', "needs a string 'context'"),
+    "string mvd_objects": ('{"mvd_objects": "A"}', "list of object names"),
+    "deep nesting": ("[" * 100000, "unreadable"),
+    "long number": ("1" * 5000, "unreadable"),
+}
+
+
+@pytest.mark.parametrize("doc, message", _MALFORMED.values(), ids=_MALFORMED)
+def test_parse_rejects_malformed_shapes(doc, message):
+    with pytest.raises(SchemaError, match=message):
+        parse_schema(doc)
+
+
 def test_parse_syntax_error_has_position():
     with pytest.raises(SchemaError, match="line 1"):
         parse_schema("{nope")

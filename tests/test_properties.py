@@ -1,11 +1,13 @@
 """Randomized properties: round-trips, closure laws, oracle agreement."""
 
+import json
 import random
 from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
 from catnorm import (
+    SchemaError,
     chase,
     dependency_basis,
     fd_closure_graph,
@@ -47,6 +49,29 @@ def test_roundtrip_serialization(seed):
     graph, deps = random_fd_schema(random.Random(seed))
     graph2, deps2 = parse_schema(serialize_schema(graph, deps))
     assert graph2 == graph and deps2 == deps
+
+
+# JSON values that often take the shape of a schema document: the schema's
+# own keys and a few object names are drawn more often than other text.
+_words = st.sampled_from(
+    ["objects", "arrows", "fds", "mvds", "mvd_objects", "provenance",
+     "name", "kind", "limit", "source", "target", "projection", "lhs",
+     "rhs", "context", "entity", "relationship", "attribute", "A", "B"]) \
+    | st.text(max_size=4)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _words,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_words, inner, max_size=5),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json)
+def test_parse_returns_or_raises_schema_error(value):
+    try:
+        parse_schema(json.dumps(value))
+    except SchemaError:
+        pass
 
 
 @settings(max_examples=60, deadline=None)
