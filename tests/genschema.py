@@ -138,3 +138,62 @@ def composite_schema(k: int) -> tuple[CategoryGraph, DependencySet]:
         fds.append(FD(frozenset([x, y]), frozenset([z])))
     return (CategoryGraph(objects=tuple(objects), arrows=tuple(arrows)),
             DependencySet(fds=tuple(fds)))
+
+
+def contexts_schema(k: int, rng: random.Random
+                    ) -> tuple[CategoryGraph, DependencySet]:
+    """k relationship contexts of 4..6 attributes over one attribute pool,
+    for the 2RR object elimination.
+
+    Context c projects onto a window of the pool that overlaps the next
+    context's window, so neighbouring contexts share attributes.  Each
+    declares t0 ->> t1t2 over its roles t0..tn-1; about half also declare
+    t0 ->> t3 or t3 ->> t4, so a fragment of the first split is split
+    again.  t3 -> t4 is an arrow or a declared FD.  Every fourth context
+    has an incoming arrow from an entity, and some have an arrow to an
+    outside attribute that no projection target reaches, so neither can
+    be derived.  A limit object L projects onto a pool attribute and an
+    attribute of its own.  The
+    names X, C1, X2, C3, ... make the split names count past one another.
+    """
+    pool = [f"a{i}" for i in range(3 * k + 4)]
+    objects = [ObjectDecl(a, "attribute") for a in pool]
+    arrows: list[Arrow] = []
+    pairs: set[tuple[str, str]] = set()
+    fds, mvds = [], []
+    for c in range(k):
+        name = "X" if c == 0 else (f"C{c}" if c % 2 else f"X{c}")
+        n = rng.randint(4, 6)
+        roles = pool[3 * c:3 * c + n]
+        rng.shuffle(roles)
+        objects.append(ObjectDecl(name, "relationship"))
+        arrows += [Arrow(f"p_{name}_{a}", name, a, is_projection=True)
+                   for a in roles]
+        t = roles
+        mvds.append(MVD(frozenset([t[0]]), frozenset(t[1:3]), name))
+        second = rng.random()
+        if second < 0.25:
+            mvds.append(MVD(frozenset([t[0]]), frozenset([t[3]]), name))
+        elif second < 0.5 and n > 4:
+            mvds.append(MVD(frozenset([t[3]]), frozenset([t[4]]), name))
+        if n > 4:
+            if rng.random() < 0.5 and (t[3], t[4]) not in pairs:
+                pairs.add((t[3], t[4]))
+                arrows.append(Arrow(f"f_{t[3]}_{t[4]}", t[3], t[4]))
+            else:
+                fds.append(FD(frozenset([t[3]]), frozenset([t[4]])))
+        if c % 4 == 3:
+            objects.append(ObjectDecl(f"E{c}", "entity"))
+            arrows += [Arrow(f"in_{name}", f"E{c}", name),
+                       Arrow(f"e_{c}", f"E{c}", f"b{c}")]
+            objects.append(ObjectDecl(f"b{c}", "attribute"))
+        elif rng.random() < 0.2:
+            outside = f"b{c}"
+            objects.append(ObjectDecl(outside, "attribute"))
+            arrows.append(Arrow(f"out_{name}", name, outside))
+    objects += [ObjectDecl("l0", "attribute"),
+                ObjectDecl("L", "relationship", is_limit=True)]
+    arrows += [Arrow(f"p_L_{a}", "L", a, is_projection=True)
+               for a in (rng.choice(pool), "l0")]
+    return (CategoryGraph(objects=tuple(objects), arrows=tuple(arrows)),
+            DependencySet(fds=tuple(fds), mvds=tuple(mvds)))
