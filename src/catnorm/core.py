@@ -10,7 +10,7 @@ dependencies ride along in a :class:`DependencySet`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 OBJECT_KINDS = ("entity", "relationship", "attribute")
@@ -149,31 +149,77 @@ class FDIndex:
         return closure
 
 
-@dataclass(frozen=True)
-class DependencySet:
-    fds: tuple[FD, ...] = ()
-    mvds: tuple[MVD, ...] = ()
+class CanonicalFDs:
+    """The canonical form of some FDs, built on first use, with its
+    indexes: `index` for closures and `inside` for the FDs within a
+    universe.  A dependency set shares it with every set that
+    `DependencySet.with_mvds` makes from it."""
 
-    def canonical_fds(self) -> tuple[FD, ...]:
-        """Split every FD into singleton-rhs form, dropping duplicates."""
-        return self._canonical_fds
-
-    @cached_property
-    def fd_index(self) -> FDIndex:
-        """The canonical FDs indexed for closures; shared, so never to be
-        shrunk."""
-        return FDIndex(self.canonical_fds())
+    def __init__(self, fds: tuple[FD, ...]):
+        self._given = fds
 
     @cached_property
-    def _canonical_fds(self) -> tuple[FD, ...]:
+    def fds(self) -> tuple[FD, ...]:
+        """Every FD split into singleton-rhs form, duplicates dropped."""
         seen, out = set(), []
-        for f in self.fds:
+        for f in self._given:
             for a in sorted(f.rhs):
                 c = FD(f.lhs, frozenset([a]))
                 if c not in seen:
                     seen.add(c)
                     out.append(c)
         return tuple(out)
+
+    @cached_property
+    def index(self) -> FDIndex:
+        """The FDs indexed for closures; shared, so never to be shrunk."""
+        return FDIndex(self.fds)
+
+    @cached_property
+    def _by_rhs(self) -> dict[str, list[int]]:
+        ids: dict[str, list[int]] = {}
+        for i, f in enumerate(self.fds):
+            (a,) = f.rhs
+            ids.setdefault(a, []).append(i)
+        return ids
+
+    def inside(self, universe: frozenset[str]) -> tuple[FD, ...]:
+        """The FDs lying wholly inside `universe`, in canonical order."""
+        by_rhs, fds = self._by_rhs, self.fds
+        ids = sorted(i for a in universe for i in by_rhs.get(a, ()))
+        return tuple(fds[i] for i in ids if fds[i].lhs <= universe)
+
+
+@dataclass(frozen=True)
+class DependencySet:
+    fds: tuple[FD, ...] = ()
+    mvds: tuple[MVD, ...] = ()
+    # the canonical FDs and their indexes, handed on by `with_mvds`
+    _canonical: CanonicalFDs | None = field(
+        default=None, repr=False, compare=False, kw_only=True)
+
+    def __post_init__(self):
+        if self._canonical is None:
+            object.__setattr__(self, "_canonical", CanonicalFDs(self.fds))
+
+    def canonical_fds(self) -> tuple[FD, ...]:
+        """Split every FD into singleton-rhs form, dropping duplicates."""
+        return self._canonical.fds
+
+    @property
+    def fd_index(self) -> FDIndex:
+        """The canonical FDs indexed for closures; shared, so never to be
+        shrunk."""
+        return self._canonical.index
+
+    def with_mvds(self, mvds) -> "DependencySet":
+        """The same FDs with other MVDs; the FD indexes carry over."""
+        return DependencySet(fds=self.fds, mvds=tuple(mvds),
+                             _canonical=self._canonical)
+
+    @cached_property
+    def _relativized(self) -> dict:
+        return {}
 
     def relativized(self, universe, context: str | None = None
                     ) -> "DependencySet":
@@ -182,15 +228,19 @@ class DependencySet:
         Canonical FDs must lie fully inside the universe.  MVDs are
         context-bound: with a context name given only MVDs declared on that
         context participate, otherwise any MVD whose attributes all lie in
-        the universe is taken to be stated over the universe itself.
+        the universe is taken to be stated over the universe itself.  Each
+        answer is kept on the set and shared by later calls.
         """
         universe = frozenset(universe)
-        return DependencySet(
-            fds=tuple(f for f in self.canonical_fds()
-                      if f.lhs | f.rhs <= universe),
-            mvds=tuple(m for m in self.mvds
-                       if (context is None or m.context == context)
-                       and m.lhs | m.rhs <= universe))
+        found = self._relativized.get((universe, context))
+        if found is None:
+            found = DependencySet(
+                fds=self._canonical.inside(universe),
+                mvds=tuple(m for m in self.mvds
+                           if (context is None or m.context == context)
+                           and m.lhs | m.rhs <= universe))
+            self._relativized[(universe, context)] = found
+        return found
 
 
 @dataclass(frozen=True)

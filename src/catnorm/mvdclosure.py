@@ -90,6 +90,8 @@ def mixed_closure(seed, deps: DependencySet,
     functionally determined attribute (the FD/MVD interaction rule).
     Iterates to mutual stability.
     """
+    derivable = {ctx: fd_rhs_attributes(deps, universe)
+                 for ctx, universe in contexts.items()}
     closure = deps.fd_index.closure(seed)
     changed = True
     while changed:
@@ -99,16 +101,28 @@ def mixed_closure(seed, deps: DependencySet,
             if not sub:
                 continue
             basis = dependency_basis(sub, deps, universe, context=ctx)
-            derivable = fd_rhs_attributes(deps, universe)
             for b in basis.blocks:
                 if len(b) == 1:
                     (a,) = b
-                    if a in derivable and a not in closure:
+                    if a in derivable[ctx] and a not in closure:
                         closure.add(a)
                         changed = True
         if changed:
             closure = deps.fd_index.closure(closure)
     return frozenset(closure)
+
+
+def context_basis(graph: CategoryGraph, deps: DependencySet,
+                  m: MVD) -> DependencyBasis | None:
+    """The dependency basis of m's LHS over the projection targets of m's
+    context; None when the context is not in the graph or m does not lie
+    within its projection targets."""
+    if not graph.has_object(m.context):
+        return None
+    universe = graph.projection_targets(m.context)
+    if not (m.lhs | m.rhs) <= universe:
+        return None
+    return dependency_basis(m.lhs, deps, universe, context=m.context)
 
 
 def identify_mvd_objects(graph: CategoryGraph,
@@ -123,13 +137,8 @@ def identify_mvd_objects(graph: CategoryGraph,
     """
     out = set()
     for m in deps.mvds:
-        if not graph.has_object(m.context):
-            continue
-        universe = graph.projection_targets(m.context)
-        if not (m.lhs | m.rhs) <= universe:
-            continue
-        basis = dependency_basis(m.lhs, deps, universe, context=m.context)
-        if len(basis.blocks) >= 2:
+        basis = context_basis(graph, deps, m)
+        if basis is not None and len(basis.blocks) >= 2:
             out.add(m.context)
     return frozenset(out)
 

@@ -17,7 +17,7 @@ from .core import (
     graph_to_fds,
 )
 from .fdclosure import RedundancyIndex, derivable_without, fd_closure_graph
-from .mvdclosure import dependency_basis, fd_mvd_closure_graph, identify_mvd_objects
+from .mvdclosure import context_basis, fd_mvd_closure_graph
 
 
 @dataclass
@@ -218,40 +218,54 @@ def _recontextualize(mvds, old: str, graph: CategoryGraph,
     return tuple(out)
 
 
-def _decomposition_candidates(graph: CategoryGraph, fds, mvds):
-    """Derivable MVD objects with a usable split MVD, lexicographically
-    ordered on (context, lhs, rhs).  The split right-hand side is the
-    smallest dependency-basis block of a declared seed."""
-    deps = DependencySet(fds=tuple(graph_to_fds(graph)) + tuple(fds),
-                         mvds=tuple(mvds))
-    marked = identify_mvd_objects(graph, deps)
-    graph = graph.with_mvd_objects(marked)
-    candidates = []
-    for m in mvds:
-        if m.context not in marked or not is_derivable(m.context, graph):
-            continue
-        universe = graph.projection_targets(m.context)
-        basis = dependency_basis(m.lhs, deps, universe, context=m.context)
-        if len(basis.blocks) < 2:
-            continue
-        block = min(basis.blocks, key=lambda b: tuple(sorted(b)))
-        candidates.append(MVD(m.lhs, block, m.context))
-    candidates.sort(key=lambda c: (c.context, tuple(sorted(c.lhs)),
-                                   tuple(sorted(c.rhs))))
-    return graph, candidates
+def _split_mvd(graph: CategoryGraph, deps: DependencySet, m: MVD) -> MVD | None:
+    """The MVD a context would be split on for its declared MVD m: the
+    smallest block of m's dependency basis, or None when the basis has one
+    block or m does not lie within its context."""
+    basis = context_basis(graph, deps, m)
+    if basis is None or len(basis.blocks) < 2:
+        return None
+    block = min(basis.blocks, key=lambda b: tuple(sorted(b)))
+    return MVD(m.lhs, block, m.context)
 
 
 def _remove_objects(graph: CategoryGraph, fds, mvds,
                     trace: ReductionTrace) -> CategoryGraph:
-    mvds = tuple(mvds)
+    """Split derivable MVD objects until none is left, then drop the
+    derivable limit objects.
+
+    Each round marks the contexts that some declared MVD would split, and
+    splits the first derivable one, in (context, lhs, rhs) order of the
+    split MVDs.  The FDs are read off the graph once.  That is sound
+    because a split object has no incoming arrow (`is_derivable`), nor
+    have its fragments, so none of them is a projection target of any
+    context, and no FD relativized to a context's universe changes under a
+    split.  `_split_names` counts past the largest suffix, so no name comes
+    back within one elimination and the MVDs of a context that is not split
+    never change.  So each declared MVD's split is computed once, and a
+    split computes only those of the fragments' MVDs.
+    """
+    deps = DependencySet(fds=graph_to_fds(graph) + tuple(fds),
+                         mvds=tuple(mvds))
+    split_of: dict[MVD, MVD | None] = {}
     while True:
-        graph, candidates = _decomposition_candidates(graph, fds, mvds)
-        if not candidates:
+        for m in deps.mvds:
+            if m not in split_of:
+                split_of[m] = _split_mvd(graph, deps, m)
+        splits = [split_of[m] for m in deps.mvds if split_of[m] is not None]
+        marked = frozenset(m.context for m in splits)
+        if marked != graph.mvd_objects:
+            graph = graph.with_mvd_objects(marked)
+        splits.sort(key=lambda m: (m.context, tuple(sorted(m.lhs)),
+                                   tuple(sorted(m.rhs))))
+        chosen = next((m for m in splits if is_derivable(m.context, graph)),
+                      None)
+        if chosen is None:
             break
-        chosen = candidates[0]
         graph, names = decompose_mvd_object(graph, chosen.context, chosen)
         trace.decomposed_objects.append((chosen.context, chosen, names))
-        mvds = _recontextualize(mvds, chosen.context, graph, names)
+        deps = deps.with_mvds(
+            _recontextualize(deps.mvds, chosen.context, graph, names))
 
     for o in list(graph.objects):
         if o.is_limit and is_derivable(o.name, graph):

@@ -61,6 +61,19 @@ def test_relativized_matches_filter_on_graph_sets():
         assert_matches(deps, queries)
 
 
+def test_with_mvds_keeps_fds_and_answers_for_new_mvds():
+    graph, declared = contexts_schema(6, random.Random(3))
+    deps = DependencySet(fds=graph_to_fds(graph) + declared.fds,
+                         mvds=declared.mvds)
+    contexts = sorted({m.context for m in declared.mvds})
+    queries = [(graph.projection_targets(c), c) for c in contexts]
+    assert_matches(deps, queries)
+    fewer = deps.with_mvds(declared.mvds[1:])
+    assert fewer == DependencySet(fds=deps.fds, mvds=declared.mvds[1:])
+    assert fewer.canonical_fds() == deps.canonical_fds()
+    assert_matches(fewer, queries)
+
+
 def test_unsplit_contexts_keep_their_fds_along_a_2rr():
     """Along every split, the FDs relativized to the universe of every
     context that was not split stay the same, and every live context's
