@@ -104,6 +104,23 @@ def _load_assignment(path: Path, graph: CategoryGraph) -> dict[str, str]:
     return assignment
 
 
+def _assign_created(assignment: dict[str, str], graph: CategoryGraph,
+                    trace: ReductionTrace) -> dict[str, str]:
+    """The assignment extended to the objects the pipeline created.  Each
+    fragment of a 2RR split goes to the partition of the object it was
+    split from, unless the assignment names it; any other created object
+    must be named."""
+    assignment = dict(assignment)
+    for name, _, fragments in trace.decomposed_objects:
+        for fragment in fragments:
+            assignment.setdefault(fragment, assignment[name])
+    missing = [o.name for o in graph.objects if o.name not in assignment]
+    if missing:
+        raise SchemaError(f"assignment leaves objects the pipeline created "
+                          f"unassigned: {missing}")
+    return assignment
+
+
 def _write(config: PipelineConfig, name: str, content: str):
     if config.to_stdout:
         sys.stdout.write(content)
@@ -204,6 +221,12 @@ def run_pipeline(config: PipelineConfig) -> int:
             return EXIT_OK
 
         reduced, trace = _reduce(graph, deps, config.level)
+        if "hybrid" in config.targets:
+            try:
+                assignment = _assign_created(assignment, reduced, trace)
+            except SchemaError as e:
+                _err(str(e))
+                return EXIT_INPUT
         if config.level:
             summary.append(f"{config.level}RR: {len(reduced.objects)} "
                            f"objects, {len(reduced.arrows)} arrows")

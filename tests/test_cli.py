@@ -160,6 +160,51 @@ def test_hybrid_bad_assignment_is_input_error(capsys, data_dir, tmp_path,
     assert not (tmp_path / "fig5.hybrid.json").exists()
 
 
+def test_hybrid_after_split_assigns_fragments(capsys, data_dir, tmp_path):
+    """The 2RR splits X into X1 and X2; they go to X's partition."""
+    path = tmp_path / "assign.json"
+    path.write_text(json.dumps({"X": "graph", "A": "relational",
+                                "B": "relational", "C": "relational",
+                                "D": "relational"}))
+    code, _, _ = run(capsys, "reduce", "--level", "2", "--emit", "hybrid",
+                     "--assignment", str(path), "--out-dir", str(tmp_path),
+                     str(data_dir / "fig6.json"))
+    assert code == 0
+    doc = json.loads((tmp_path / "fig6.hybrid.json").read_text())
+    parts = {p["partition"]: {o["name"] for o in p["schema"]["objects"]}
+             for p in doc}
+    assert {"X1", "X2"} <= parts["graph"]
+    assert not {"X1", "X2"} & parts["relational"]
+
+
+COMPOSITE = {
+    "objects": [{"name": "G", "kind": "entity"}] + [
+        {"name": a, "kind": "attribute"} for a in ("x", "y", "z", "w")],
+    "arrows": [{"name": f"g{a}", "source": "G", "target": a}
+               for a in ("x", "y", "w")],
+    "fds": [{"lhs": ["x", "y"], "rhs": ["z"]}],
+}
+
+
+@pytest.mark.parametrize("extra, expected", [({}, 1), ({"x_y": "rel"}, 0)])
+def test_hybrid_created_objects_need_assignment(capsys, tmp_path, extra,
+                                                expected):
+    """The closure materializes x_y for the declared {x, y} -> z; it has
+    no object to inherit a partition from, so it must be named."""
+    schema = tmp_path / "composite.json"
+    schema.write_text(json.dumps(COMPOSITE))
+    path = tmp_path / "assign.json"
+    path.write_text(json.dumps({"G": "graph", "x": "rel", "y": "rel",
+                                "z": "rel", "w": "graph", **extra}))
+    code, _, err = run(capsys, "reduce", "--level", "1", "--emit", "hybrid",
+                       "--assignment", str(path), "--out-dir", str(tmp_path),
+                       str(schema))
+    assert code == expected
+    assert (tmp_path / "composite.hybrid.json").exists() == (expected == 0)
+    if expected:
+        assert "x_y" in err and "internal" not in err
+
+
 def test_hybrid_requires_assignment(capsys, data_dir):
     code, _, err = run(capsys, "hybrid", str(data_dir / "fig5.json"))
     assert code == 1 and "assignment" in err
