@@ -155,14 +155,14 @@ class CanonicalFDs:
     universe.  A dependency set shares it with every set that
     `DependencySet.with_mvds` makes from it."""
 
-    def __init__(self, fds: tuple[FD, ...]):
-        self._given = fds
+    def __init__(self, source: tuple[FD, ...]):
+        self.source = source
 
     @cached_property
     def fds(self) -> tuple[FD, ...]:
         """Every FD split into singleton-rhs form, duplicates dropped."""
         seen, out = set(), []
-        for f in self._given:
+        for f in self.source:
             for a in sorted(f.rhs):
                 c = FD(f.lhs, frozenset([a]))
                 if c not in seen:
@@ -199,7 +199,9 @@ class DependencySet:
         default=None, repr=False, compare=False, kw_only=True)
 
     def __post_init__(self):
-        if self._canonical is None:
+        # a part built from other FDs, as `dataclasses.replace` with new
+        # FDs would hand on, is not this set's
+        if self._canonical is None or self._canonical.source is not self.fds:
             object.__setattr__(self, "_canonical", CanonicalFDs(self.fds))
 
     def canonical_fds(self) -> tuple[FD, ...]:
@@ -214,8 +216,7 @@ class DependencySet:
 
     def with_mvds(self, mvds) -> "DependencySet":
         """The same FDs with other MVDs; the FD indexes carry over."""
-        return DependencySet(fds=self.fds, mvds=tuple(mvds),
-                             _canonical=self._canonical)
+        return replace(self, mvds=tuple(mvds))
 
     @cached_property
     def _relativized(self) -> dict:

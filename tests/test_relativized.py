@@ -2,6 +2,7 @@
 that lets the 2RR keep one FD part across its splits."""
 
 import random
+from dataclasses import replace
 
 from catnorm import DependencySet, fd_mvd_closure_graph, graph_to_fds
 from catnorm.reduce import ReductionTrace
@@ -70,8 +71,11 @@ def test_with_mvds_keeps_fds_and_answers_for_new_mvds():
     assert_matches(deps, queries)
     fewer = deps.with_mvds(declared.mvds[1:])
     assert fewer == DependencySet(fds=deps.fds, mvds=declared.mvds[1:])
-    assert fewer.canonical_fds() == deps.canonical_fds()
+    assert fewer.canonical_fds() is deps.canonical_fds()
     assert_matches(fewer, queries)
+    other = replace(deps, fds=declared.fds)
+    assert other.canonical_fds() == DependencySet(
+        fds=declared.fds).canonical_fds()
 
 
 def test_unsplit_contexts_keep_their_fds_along_a_2rr():
