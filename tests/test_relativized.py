@@ -8,7 +8,7 @@ from catnorm import DependencySet, fd_mvd_closure_graph, graph_to_fds
 from catnorm.reduce import ReductionTrace
 
 from genschema import contexts_schema, random_dependency_set, random_mvd_schema
-from test_remove_objects_reference import closed_cases, ref_splits
+from test_remove_objects_reference import closed_cases, ref_remove_objects
 
 
 def plain(deps, universe, context=None):
@@ -85,9 +85,9 @@ def test_unsplit_contexts_keep_their_fds_along_a_2rr():
     splits = 0
     for name, closed, declared in closed_cases():
         first = DependencySet(fds=graph_to_fds(closed) + declared.fds)
-        for before, after, mvds in ref_splits(closed, declared.fds,
-                                              declared.mvds,
-                                              ReductionTrace()):
+
+        def check(before, after, mvds):
+            nonlocal splits
             splits += 1
             old = DependencySet(fds=graph_to_fds(before) + declared.fds)
             new = DependencySet(fds=graph_to_fds(after) + declared.fds)
@@ -97,4 +97,7 @@ def test_unsplit_contexts_keep_their_fds_along_a_2rr():
                 assert fds == first.relativized(universe, ctx).fds, name
                 if before.has_object(ctx):
                     assert fds == old.relativized(universe, ctx).fds, name
+
+        ref_remove_objects(closed, declared.fds, declared.mvds,
+                           ReductionTrace(), check)
     assert splits > 300

@@ -45,9 +45,9 @@ def ref_candidates(graph, fds, mvds):
     return graph, candidates
 
 
-def ref_splits(graph, fds, mvds, trace):
-    """Run the reference elimination loop, yielding (before, after, mvds
-    after) per split; the final graph is left in trace.graph."""
+def ref_remove_objects(graph, fds, mvds, trace, on_split=None):
+    """The reference elimination; `on_split(before, after, mvds)` sees
+    every split with the MVDs it leaves."""
     mvds = tuple(mvds)
     while True:
         graph, candidates = ref_candidates(graph, fds, mvds)
@@ -58,19 +58,14 @@ def ref_splits(graph, fds, mvds, trace):
         graph, names = decompose_mvd_object(graph, chosen.context, chosen)
         trace.decomposed_objects.append((chosen.context, chosen, names))
         mvds = _recontextualize(mvds, chosen.context, graph, names)
-        yield before, graph, mvds
+        if on_split is not None:
+            on_split(before, graph, mvds)
 
     for o in list(graph.objects):
         if o.is_limit and is_derivable(o.name, graph):
             graph = graph.without_object(o.name)
             trace.removed_limit_objects.append(o.name)
-    trace.graph = graph
-
-
-def ref_remove_objects(graph, fds, mvds, trace):
-    for _ in ref_splits(graph, fds, mvds, trace):
-        pass
-    return trace.graph
+    return graph
 
 
 def mvd_cases():
@@ -91,19 +86,8 @@ def closed_cases():
         yield name, fd_mvd_closure_graph(graph, deps.fds, deps.mvds), deps
 
 
-def test_cases_split_fragments_and_limits():
-    decomposed = nested = limits = 0
-    for _, closed, deps in closed_cases():
-        trace = ReductionTrace()
-        ref_remove_objects(closed, deps.fds, deps.mvds, trace)
-        made = {n for _, _, names in trace.decomposed_objects for n in names}
-        decomposed += len(trace.decomposed_objects)
-        nested += sum(name in made for name, _, _ in trace.decomposed_objects)
-        limits += len(trace.removed_limit_objects)
-    assert decomposed > 300 and nested > 50 and limits > 50
-
-
 def test_remove_objects_matches_reference():
+    decomposed = nested = limits = 0
     for name, closed, deps in closed_cases():
         expected_trace, trace = ReductionTrace(), ReductionTrace()
         expected = ref_remove_objects(closed, deps.fds, deps.mvds,
@@ -113,3 +97,11 @@ def test_remove_objects_matches_reference():
         assert got.arrows == expected.arrows, name
         assert got.mvd_objects == expected.mvd_objects, name
         assert trace.to_json() == expected_trace.to_json(), name
+
+        splits = expected_trace.decomposed_objects
+        made = {n for _, _, names in splits for n in names}
+        decomposed += len(splits)
+        nested += sum(obj in made for obj, _, _ in splits)
+        limits += len(expected_trace.removed_limit_objects)
+    # the cases split fragments again and remove limit objects
+    assert decomposed > 300 and nested > 50 and limits > 50
