@@ -1,10 +1,12 @@
-"""Pinned closure and reduction outputs.
+"""Pinned closure, reduction, emission and normal-form outputs.
 
-Each digest is the sha256 of the serialized closures (with provenance),
-reduced schemas and reduction traces over a fixed range of generated
-schemas.  They were recorded before the closure drivers were merged and
-must not change under refactoring; emitter output is deliberately left
-out so that emitter fixes do not move them.
+Each digest is the sha256 of one output over a fixed range of generated
+schemas: the serialized closures (with provenance), the reduced schemas
+with their reduction traces, the SQL, DTD and property graph rendered
+from the reduced schemas, and the JSON of their BCNF, improved-BCNF, 4NF
+and XML-NF reports.  They must not change under refactoring.  Each
+artifact has its own digest, so an emitter fix moves only the digests of
+what it renders and checks.
 """
 
 import hashlib
@@ -12,9 +14,24 @@ import json
 import random
 
 from catnorm import (
+    DependencySet,
+    NfReport,
+    SchemaError,
+    check_4nf,
+    check_bcnf,
+    check_improved_bcnf,
+    check_xml_nf,
+    derive_xml_fds,
+    emit_dtd,
+    emit_property_graph,
+    emit_relational,
     fd_closure_graph,
     fd_mvd_closure_graph,
     first_reduced,
+    graph_to_fds,
+    render_dtd,
+    render_property_graph,
+    render_sql,
     second_reduced,
     serialize_schema,
 )
@@ -33,6 +50,22 @@ EXPECTED = {
         "d4fce5c441e259b082a523c792ba025c24e11999e6e3dea55f7b8851b24270db",
     "second-reduced":
         "3b2e2d644099462fd543590fbea2bc27e22935463bab45516d2f501aff41c1b1",
+    "sql-1rr":
+        "738015398ca3b84d898d05007a2bf6e9dc332532cf79e89ed886483628b63552",
+    "sql-2rr":
+        "5a95b2ca72f9a3534e885bf1b8bf68a6c8aff25874d96284e430df85ba5f8967",
+    "dtd-1rr":
+        "487a46504b7d65048e00fbcd9a343fe1e3a76cf9ca7388111e55b6823d2dea93",
+    "dtd-2rr":
+        "894b41e00022193a58f1e350c42f8c91520799f56bc595cb8554d464e9181ec7",
+    "pg-1rr":
+        "39caec9a47aec238016d94af991ba9b2a73f77eafaaae64a0ca2a487c5f8c72f",
+    "pg-2rr":
+        "0addd184e46db6262266c739c80df62343537650b333fdad9e0f50ec19c705c0",
+    "reports-1rr":
+        "54c873e44c20496bfdb13b0642617c21e2dac9bdcc2ca0a024a6ebbea8efa298",
+    "reports-2rr":
+        "df0f69046f4886eba2f1b7dedff6091b14d563b8ef8126bffe5c75814fef45d9",
 }
 
 
@@ -51,6 +84,43 @@ def _reduction(reduce):
     return render
 
 
+def _per_relation(check, relations, deps):
+    reports = []
+    for rel in relations:
+        try:
+            reports.append(check(rel, deps))
+        except SchemaError as e:
+            reports.append(NfReport(subject=rel.name, verdict="unknown",
+                                    witnesses=[{"reason": str(e)}]))
+    return reports
+
+
+def _reports(graph, deps):
+    """Every check's reports, as the pipeline checks an emitted schema."""
+    deps = DependencySet(fds=tuple(graph_to_fds(graph)) + tuple(deps.fds),
+                         mvds=tuple(deps.mvds))
+    schema, dtd = emit_relational(graph), emit_dtd(graph)
+    reports = (_per_relation(check_bcnf, schema.relations, deps)
+               + [check_improved_bcnf(schema, deps)]
+               + _per_relation(check_4nf, schema.relations, deps)
+               + [check_xml_nf(dtd, derive_xml_fds(graph, dtd))])
+    return json.dumps([r.to_json() for r in reports])
+
+
+RENDERERS = {
+    "sql": lambda g, d: render_sql(emit_relational(g)),
+    "dtd": lambda g, d: render_dtd(emit_dtd(g)),
+    "pg": lambda g, d: render_property_graph(emit_property_graph(g)),
+    "reports": _reports,
+}
+
+
+def _reduced(reduce, render):
+    def rendered(graph, deps):
+        return render(reduce(graph, deps)[0], deps)
+    return rendered
+
+
 CASES = {
     "fd-closure": (random_fd_schema, _closure(
         lambda g, d, p: fd_closure_graph(g, d.fds, p))),
@@ -63,6 +133,11 @@ CASES = {
     "second-reduced": (random_mvd_schema, _reduction(
         lambda g, d: second_reduced(g, d.fds, d.mvds))),
 }
+for _kind, _render in RENDERERS.items():
+    CASES[f"{_kind}-1rr"] = (random_fd_schema, _reduced(
+        lambda g, d: first_reduced(g, d.fds), _render))
+    CASES[f"{_kind}-2rr"] = (random_mvd_schema, _reduced(
+        lambda g, d: second_reduced(g, d.fds, d.mvds), _render))
 
 
 def digest(name: str) -> str:
