@@ -41,10 +41,7 @@ from .emit import (
 from .fdclosure import (
     AttributeClosureResult,
     attribute_closure,
-    covers,
-    equivalent,
     fd_closure_graph,
-    is_redundant_arrow,
 )
 from .mvdclosure import (
     DependencyBasis,
@@ -76,8 +73,7 @@ __all__ = [
     "FD", "MVD", "Arrow", "CategoryGraph", "DependencySet", "ObjectDecl",
     "SchemaError", "Violation", "composite_name", "fd", "graph_to_fds",
     "is_valid", "mvd", "parse_schema", "serialize_schema", "validate",
-    "AttributeClosureResult", "attribute_closure", "covers", "equivalent",
-    "fd_closure_graph", "is_redundant_arrow",
+    "AttributeClosureResult", "attribute_closure", "fd_closure_graph",
     "DependencyBasis", "dependency_basis", "fd_mvd_closure_graph",
     "identify_mvd_objects", "mvd_membership",
     "ChaseLimitExceeded", "chase", "chase_implies",

@@ -12,7 +12,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .chase import ChaseLimitExceeded
 from .core import (
     CategoryGraph,
     DependencySet,
@@ -258,9 +257,6 @@ def run_pipeline(config: PipelineConfig) -> int:
             _write(config, f"{stem}.hybrid.json", render_hybrid(parts))
 
         reports = _run_checks(config, reduced, deps, schema, dtd, summary)
-    except ChaseLimitExceeded as e:
-        _err(f"internal: {e}")
-        return EXIT_INTERNAL
     except SchemaError as e:
         _err(f"internal: {e}")
         return EXIT_INTERNAL

@@ -283,31 +283,28 @@ class CategoryGraph:
     def has_arrow(self, source: str, target: str) -> bool:
         return (source, target) in self._pairs
 
-    def _neighbours(self, pairs) -> dict[str, list[str]]:
-        """Per name, the other ends of its (name, other) pairs, in document
-        order of the other ends."""
+    @cached_property
+    def _out(self) -> dict[str, list[str]]:
+        """Per source, its arrows' targets in document order."""
         ends: dict[str, set[str]] = {}
-        for name, other in pairs:
-            ends.setdefault(name, set()).add(other)
+        for a in self.arrows:
+            ends.setdefault(a.source, set()).add(a.target)
         order = {o.name: i for i, o in enumerate(self.objects)}
         return {name: sorted((n for n in found if n in order),
                              key=order.__getitem__)
                 for name, found in ends.items()}
 
     @cached_property
-    def _out(self) -> dict[str, list[str]]:
-        return self._neighbours(a.pair for a in self.arrows)
-
-    @cached_property
-    def _in(self) -> dict[str, list[str]]:
-        return self._neighbours((a.target, a.source) for a in self.arrows)
+    def _targets(self) -> frozenset[str]:
+        return frozenset(a.target for a in self.arrows)
 
     def out_neighbours(self, name: str) -> list[str]:
         """Targets of outgoing arrows, in document order of the targets."""
         return list(self._out.get(name, ()))
 
-    def in_neighbours(self, name: str) -> list[str]:
-        return list(self._in.get(name, ()))
+    def has_incoming(self, name: str) -> bool:
+        """Does some arrow end at `name`?"""
+        return name in self._targets
 
     @cached_property
     def _projections(self) -> dict[str, frozenset[str]]:

@@ -144,16 +144,6 @@ def fd_closure_graph(graph: CategoryGraph, fds,
                                provenance)
 
 
-def covers(g1: CategoryGraph, g2: CategoryGraph, fds=()) -> bool:
-    """True iff every arrow of g2 is present in the closure of (g1, fds)."""
-    closed = fd_closure_graph(g1, tuple(fds)).arrow_pairs()
-    return g2.arrow_pairs() <= closed
-
-
-def equivalent(g1: CategoryGraph, g2: CategoryGraph, fds=()) -> bool:
-    return covers(g1, g2, fds) and covers(g2, g1, fds)
-
-
 class RedundancyIndex:
     """A graph's dependencies, indexed once to test many of its arrows for
     redundancy: one FD per arrow, the key FD pi -> R of every relationship
@@ -224,11 +214,3 @@ def derivable_without(index: RedundancyIndex, arrow: Arrow) -> bool:
     mirrors = [i for i, rhs in index.mirrors.get(arrow.source, ())
                if arrow.target in rhs]
     return index.derives({arrow.source}, arrow, mirrors)
-
-
-def is_redundant_arrow(arrow: Arrow, graph: CategoryGraph, fds=()) -> bool:
-    """True iff removing `arrow` leaves a graph equivalent to `graph`."""
-    if arrow not in graph.arrows:
-        raise SchemaError(f"arrow {arrow.name!r} not in graph")
-    rest = graph.without_arrow(arrow)
-    return covers(rest, graph, tuple(fds))

@@ -154,7 +154,7 @@ def is_derivable(name: str, graph: CategoryGraph) -> bool:
     decl = graph.object_map[name]
     if not (decl.is_limit or name in graph.mvd_objects):
         return False
-    if graph.in_neighbours(name):
+    if graph.has_incoming(name):
         return False
     pairs = graph.arrow_pairs()
     projections = graph.projection_targets(name)

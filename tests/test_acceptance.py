@@ -21,7 +21,6 @@ from catnorm import (
     emit_dtd,
     emit_property_graph,
     emit_relational,
-    equivalent,
     fd,
     fd_closure_graph,
     fd_mvd_closure_graph,
@@ -29,6 +28,7 @@ from catnorm import (
     graph_to_fds,
     second_reduced,
 )
+from equivalence import equivalent
 from genschema import (
     cluster_schema,
     random_dependency_set,

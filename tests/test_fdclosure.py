@@ -6,13 +6,11 @@ from catnorm import (
     ObjectDecl,
     SchemaError,
     attribute_closure,
-    covers,
-    equivalent,
     fd,
     fd_closure_graph,
     graph_to_fds,
-    is_redundant_arrow,
 )
+from equivalence import covers, equivalent, is_redundant_arrow
 
 
 def brute_force_closure(seed, fds):

@@ -6,15 +6,14 @@ from catnorm import (
     ObjectDecl,
     SchemaError,
     decompose_mvd_object,
-    equivalent,
     fd_closure_graph,
     fd_mvd_closure_graph,
     first_reduced,
     is_derivable,
-    is_redundant_arrow,
     mvd,
     second_reduced,
 )
+from equivalence import equivalent, is_redundant_arrow
 
 
 def test_first_reduced_fig5(fig5):
