@@ -53,14 +53,14 @@ def _closure_in(sort_set: frozenset[str], deps: DependencySet):
     cl(X) = X | cl(X & A) for those attributes A; each cl(X & A) & sort is
     computed once per relation and kept."""
     index = deps.fd_index
-    firing = frozenset(a for a in sort_set if a in index.users)
+    firing = index.users.keys() & sort_set
     memo: dict[frozenset[str], frozenset[str]] = {}
 
     def closure(x: frozenset[str]) -> frozenset[str]:
         key = x & firing
         found = memo.get(key)
         if found is None:
-            found = memo[key] = frozenset(index.closure(key)) & sort_set
+            found = memo[key] = sort_set & index.closure(key)
         return x | found
     return closure
 
