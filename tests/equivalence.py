@@ -1,4 +1,4 @@
-"""Graph equivalence under FDs, decided by closing a graph from scratch on
+"""Graph equivalence under FDs, decided by closing a graph anew on
 every call.  The tests use it as an independent check on the reductions."""
 
 from catnorm import Arrow, CategoryGraph, SchemaError, fd_closure_graph
