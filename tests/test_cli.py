@@ -29,6 +29,17 @@ def test_validate_missing_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_validate_non_thin_is_input_error(capsys, tmp_path):
+    doc = tmp_path / "non_thin.json"
+    doc.write_text(json.dumps({
+        "objects": [{"name": "A", "kind": "attribute"},
+                    {"name": "B", "kind": "attribute"}],
+        "arrows": [{"name": "f", "source": "A", "target": "B"},
+                   {"name": "g", "source": "A", "target": "B"}]}))
+    code, _, err = run(capsys, "validate", str(doc))
+    assert code == 1 and "[thinness]" in err
+
+
 def test_closure_roundtrippable(capsys, data_dir, tmp_path):
     code, _, _ = run(capsys, "closure", str(data_dir / "fig5.json"),
                      "--out-dir", str(tmp_path))
@@ -38,6 +49,14 @@ def test_closure_roundtrippable(capsys, data_dir, tmp_path):
     assert ("D", "B") in graph.arrow_pairs()
     doc = json.loads((tmp_path / "fig5.closure.json").read_text())
     assert any(p.get("rule") == "fd-closure" for p in doc["provenance"])
+
+
+def test_closure_records_mvd_objects(capsys, data_dir, tmp_path):
+    code, _, _ = run(capsys, "closure", str(data_dir / "fig6.json"),
+                     "--out-dir", str(tmp_path))
+    assert code == 0
+    doc = json.loads((tmp_path / "fig6.closure.json").read_text())
+    assert any(p.get("rule") == "mvd-object" for p in doc["provenance"])
 
 
 def test_reduce_emit_relational(capsys, data_dir, tmp_path):
@@ -84,6 +103,19 @@ def test_emit_stdout(capsys, data_dir):
 def test_emit_requires_target(capsys, data_dir):
     code, _, err = run(capsys, "emit", str(data_dir / "fig5.json"))
     assert code == 1 and "--emit" in err
+
+
+def test_reduce_hybrid_requires_assignment(capsys, data_dir, tmp_path):
+    code, _, err = run(capsys, "reduce", "--emit", "hybrid",
+                       "--out-dir", str(tmp_path),
+                       str(data_dir / "fig5.json"))
+    assert code == 1 and "assignment" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_check_requires_check(capsys, data_dir):
+    code, _, err = run(capsys, "check", str(data_dir / "fig5.json"))
+    assert code == 1 and "--check" in err
 
 
 def test_check_violation_exit_code(capsys, data_dir, tmp_path):
