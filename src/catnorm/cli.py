@@ -54,6 +54,9 @@ EXIT_UNKNOWN = 4
 
 EMIT_TARGETS = ("relational", "dtd", "pg", "hybrid")
 CHECKS = ("bcnf", "improved-bcnf", "4nf", "xmlnf")
+# the option each subcommand cannot run without
+REQUIRED_OPTION = {"emit": "--emit", "check": "--check",
+                   "hybrid": "--assignment"}
 
 
 @dataclass
@@ -66,9 +69,7 @@ class PipelineConfig:
     out_dir: Path | None = None
     to_stdout: bool = False
     assignment_path: Path | None = None
-    write_schema: bool = False
-    closure_only: bool = False
-    validate_only: bool = False
+    command: str = "reduce"
 
 
 def _err(msg: str):
@@ -201,11 +202,11 @@ def run_pipeline(config: PipelineConfig) -> int:
     summary = [f"input: {len(graph.objects)} objects, "
                f"{len(graph.arrows)} arrows"]
     try:
-        if config.validate_only:
+        if config.command == "validate":
             print("\n".join(summary), file=sys.stderr)
             return EXIT_OK
 
-        if config.closure_only:
+        if config.command == "closure":
             provenance: list = []
             if deps.mvds:
                 closed = fd_mvd_closure_graph(graph, deps.fds, deps.mvds,
@@ -232,7 +233,8 @@ def run_pipeline(config: PipelineConfig) -> int:
         if config.trace:
             _write(config, f"{stem}.trace.json",
                    json.dumps(trace.to_json(), indent=2) + "\n")
-        if config.write_schema and config.level:
+        if config.command == "reduce" and config.level \
+                and not (config.targets or config.checks):
             _write(config, f"{stem}.{config.level}rr.json",
                    serialize_schema(reduced, deps))
 
@@ -335,39 +337,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flag = REQUIRED_OPTION.get(args.command)
+    if flag and not getattr(args, flag[2:]):
+        _err(f"{args.command} requires {flag}")
+        return EXIT_INPUT
     config = PipelineConfig(
         input_path=args.input,
+        command=args.command,
         out_dir=args.out_dir,
         to_stdout=args.stdout,
         level=getattr(args, "level", 0),
-        targets=tuple(getattr(args, "emit", ()) or ()),
-        checks=tuple(getattr(args, "check", ()) or ()),
+        targets=(("hybrid",) if args.command == "hybrid"
+                 else tuple(getattr(args, "emit", ()))),
+        checks=tuple(getattr(args, "check", ())),
         trace=getattr(args, "trace", False),
         assignment_path=getattr(args, "assignment", None),
     )
-    if args.command == "validate":
-        config.validate_only = True
-        config.level = 0
-    elif args.command == "closure":
-        config.closure_only = True
-        config.level = 0
-    elif args.command == "reduce":
-        config.write_schema = not (config.targets or config.checks)
-    elif args.command == "emit":
-        config.level = 0
-        if not config.targets:
-            _err("emit requires --emit")
-            return EXIT_INPUT
-    elif args.command == "check":
-        if not config.checks:
-            _err("check requires --check")
-            return EXIT_INPUT
-    elif args.command == "hybrid":
-        config.level = 0
-        config.targets = ("hybrid",)
-        if config.assignment_path is None:
-            _err("hybrid requires --assignment")
-            return EXIT_INPUT
     return run_pipeline(config)
 
 

@@ -267,9 +267,6 @@ class CategoryGraph:
     def object_map(self) -> dict[str, ObjectDecl]:
         return {o.name: o for o in self.objects}
 
-    def kind_of(self, name: str) -> str:
-        return self.object_map[name].kind
-
     def has_object(self, name: str) -> bool:
         return name in self.object_map
 
@@ -316,9 +313,6 @@ class CategoryGraph:
 
     def projection_targets(self, name: str) -> frozenset[str]:
         return self._projections.get(name, frozenset())
-
-    def relationship_names(self) -> list[str]:
-        return [o.name for o in self.objects if o.kind == "relationship"]
 
     # -- functional updates --------------------------------------------------
 

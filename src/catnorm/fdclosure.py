@@ -43,7 +43,7 @@ def _representative(graph: CategoryGraph, lhs: frozenset[str]) -> str | None:
 
     A singleton is represented by the object itself; a composite by a
     relationship object whose projection targets are exactly the set
-    (e.g. a composite materialized on an earlier run).
+    (e.g. a composite materialized on an earlier run), the first by name.
     """
     if len(lhs) == 1:
         (name,) = lhs
@@ -51,18 +51,7 @@ def _representative(graph: CategoryGraph, lhs: frozenset[str]) -> str | None:
     candidates = [o.name for o in graph.objects
                   if o.kind == "relationship"
                   and graph.projection_targets(o.name) == lhs]
-    if candidates:
-        return min(candidates)
-    # a previously materialized composite may have lost projection arrows
-    # to redundancy pruning; recognize it by its deterministic name
-    name = composite_name(lhs)
-    while graph.has_object(name):
-        decl = graph.object_map[name]
-        if decl.kind == "relationship" \
-                and graph.projection_targets(name) <= lhs:
-            return name
-        name += "_"
-    return None
+    return min(candidates, default=None)
 
 
 def _materialize(graph: CategoryGraph, lhs: frozenset[str],
@@ -145,29 +134,32 @@ def fd_closure_graph(graph: CategoryGraph, fds,
 
 
 class RedundancyIndex:
-    """A graph's dependencies, indexed once to test many of its arrows for
-    redundancy: one FD per arrow, the key FD pi -> R of every relationship
-    R with projection targets pi, and the declared FDs.
+    """A thin graph's dependencies, indexed once to test many of its arrows
+    for redundancy: one FD per arrow, the key FD pi -> R of every
+    relationship R with projection targets pi, and the declared FDs.
 
-    A test masks every copy of the arrow under question; removing an arrow
+    A test masks the FD of the arrow under question; removing an arrow
     updates the index in place, shrinking its source's key when the arrow
-    was the last projection to its target.
+    is one of its projections.  A second arrow on one pair is a
+    `SchemaError`: the reducer works on the thin category only.
     """
 
     def __init__(self, graph: CategoryGraph, fds=()):
         self.kinds = {o.name: o.kind for o in graph.objects}
         self.fds = FDIndex()
-        self.arrow_ids: dict[Arrow, list[int]] = {}
-        # projection arrows per relationship and target, and key FD ids
-        self.projections: dict[str, dict[str, int]] = {}
+        self.arrow_ids: dict[Arrow, int] = {}
+        self.projections: dict[str, set[str]] = {}
+        pairs: set[tuple[str, str]] = set()
         for a in graph.arrows:
-            self.arrow_ids.setdefault(a, []).append(
-                self.fds.add({a.source}, {a.target}))
+            if a.pair in pairs:
+                raise SchemaError(f"graph is not thin: more than one arrow "
+                                  f"from {a.source!r} to {a.target!r}")
+            pairs.add(a.pair)
+            self.arrow_ids[a] = self.fds.add({a.source}, {a.target})
             if a.is_projection and self.kinds.get(a.source) == "relationship":
-                counts = self.projections.setdefault(a.source, {})
-                counts[a.target] = counts.get(a.target, 0) + 1
-        self.keys = {name: self.fds.add(counts, {name})
-                     for name, counts in self.projections.items()}
+                self.projections.setdefault(a.source, set()).add(a.target)
+        self.keys = {name: self.fds.add(targets, {name})
+                     for name, targets in self.projections.items()}
         # declared FDs with a singleton LHS, which may mirror an arrow
         self.mirrors: dict[str, list[tuple[int, frozenset[str]]]] = {}
         for f in fds:
@@ -178,30 +170,23 @@ class RedundancyIndex:
 
     def projections_without(self, arrow: Arrow) -> set[str]:
         """Projection targets of the arrow's source with the arrow masked."""
-        counts = self.projections.get(arrow.source, {})
-        out = set(counts)
-        if arrow.is_projection \
-                and counts.get(arrow.target) == len(self.arrow_ids[arrow]):
+        out = set(self.projections.get(arrow.source, ()))
+        if arrow.is_projection:
             out.discard(arrow.target)
         return out
 
     def derives(self, seed, arrow: Arrow, skip=()) -> bool:
         """Does `seed` reach the arrow's target with the arrow masked and
         the FDs of ids `skip` left out?"""
-        skip = {*self.arrow_ids[arrow], *skip}
+        skip = {self.arrow_ids[arrow], *skip}
         return arrow.target in self.fds.closure(seed, skip,
                                                 until=arrow.target)
 
     def remove(self, arrow: Arrow) -> None:
-        copies = self.arrow_ids.pop(arrow)
-        for i in copies:
-            self.fds.shrink(i, arrow.source)
-        counts = self.projections.get(arrow.source)
-        if arrow.is_projection and counts is not None:
-            counts[arrow.target] -= len(copies)
-            if not counts[arrow.target]:
-                del counts[arrow.target]
-                self.fds.shrink(self.keys[arrow.source], arrow.target)
+        self.fds.shrink(self.arrow_ids.pop(arrow), arrow.source)
+        if arrow.is_projection and arrow.source in self.keys:
+            self.projections[arrow.source].remove(arrow.target)
+            self.fds.shrink(self.keys[arrow.source], arrow.target)
 
 
 def derivable_without(index: RedundancyIndex, arrow: Arrow) -> bool:

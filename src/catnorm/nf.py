@@ -188,7 +188,7 @@ def check_xml_nf(dtd: DtdSchema, fds) -> NfReport:
     X -> p.  Decided on the emitter-generated fragment; anything else is
     reported as unknown rather than guessed."""
     report = NfReport(subject="dtd", verdict="satisfied")
-    unknown = False
+    violated = unknown = False
     for f in fds:
         if not (f.rhs.endswith(".#P") or f.rhs.endswith(".@ID")):
             continue  # condition only constrains value-carrying targets
@@ -206,23 +206,19 @@ def check_xml_nf(dtd: DtdSchema, fds) -> NfReport:
         if x.endswith(".#P"):
             if _path_depth(x) <= 1:
                 continue  # once-stored value under the root determines it
-            report.witnesses.append({
-                "dependency": str(f),
-                "reason": f"{x} does not determine its element path"})
+            reason = f"{x} does not determine its element path"
         elif "@" in x:
-            report.witnesses.append({
-                "dependency": str(f),
-                "reason": f"reference attribute {x} does not determine "
-                          f"its element path"})
+            reason = (f"reference attribute {x} does not determine "
+                      f"its element path")
         elif "#P" not in x:
             continue  # plain element path determines itself
         else:
             unknown = True
             report.witnesses.append({"dependency": str(f),
                                      "reason": "unrecognized path form"})
-    violated = [w for w in report.witnesses
-                if "fragment" not in w["reason"]
-                and "unrecognized" not in w["reason"]]
+            continue
+        violated = True
+        report.witnesses.append({"dependency": str(f), "reason": reason})
     if violated:
         report.verdict = "violated"
     elif unknown:

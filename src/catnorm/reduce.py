@@ -86,8 +86,6 @@ def _prune_redundant_arrows(graph: CategoryGraph, fds) -> CategoryGraph:
     index = RedundancyIndex(graph, fds)
     removed: set[Arrow] = set()
     for arrow in _removal_order(graph):
-        if arrow in removed:
-            continue
         if arrow.is_projection:
             # never shrink a projection set on the strength of the key
             # dependency it defines

@@ -93,6 +93,20 @@ def test_fd_closure_materializes_composite_lhs():
                for p in provenance)
 
 
+def test_fd_closure_composite_ignores_a_namesake():
+    # a user relationship named like the composite of {x, y} but projecting
+    # to x only does not stand for {x, y}
+    graph = CategoryGraph(
+        objects=(ObjectDecl("x_y", "relationship"),
+                 ObjectDecl("x", "attribute"), ObjectDecl("y", "attribute"),
+                 ObjectDecl("z", "attribute")),
+        arrows=(Arrow("p", "x_y", "x", is_projection=True),))
+    closed = fd_closure_graph(graph, (fd("xy", "z"),))
+    assert "z" not in attribute_closure({"x"}, graph_to_fds(closed)).closure
+    assert closed.projection_targets("x_y_") == {"x", "y"}
+    assert ("x_y_", "z") in closed.arrow_pairs()
+
+
 def test_fd_closure_idempotent(fig5):
     graph, deps = fig5
     once = fd_closure_graph(graph, deps.fds)
