@@ -54,7 +54,8 @@ EXIT_UNKNOWN = 4
 
 EMIT_TARGETS = ("relational", "dtd", "pg", "hybrid")
 CHECKS = ("bcnf", "improved-bcnf", "4nf", "xmlnf")
-# the option each subcommand cannot run without
+# the option each subcommand cannot run without; argparse stores it under
+# the flag's name
 REQUIRED_OPTION = {"emit": "--emit", "check": "--check",
                    "hybrid": "--assignment"}
 

@@ -161,6 +161,15 @@ def test_xml_nf_student_counterexample():
     assert report.witnesses[0]["dependency"].startswith("ε.Student")
 
 
+def test_xml_nf_verdict_ignores_witness_text():
+    # an element name that appears in the unknown-verdict reasons
+    # does not hide the violation
+    from catnorm import DtdSchema
+    bad = PathFD(frozenset(["ε.fragment.BirthYear.#P"]),
+                 "ε.fragment.Age.#P")
+    assert check_xml_nf(DtdSchema(), [bad]).verdict == "violated"
+
+
 def test_xml_nf_no_fds():
     from catnorm import DtdSchema
     assert check_xml_nf(DtdSchema(), []).verdict == "satisfied"
