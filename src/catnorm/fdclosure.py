@@ -41,9 +41,9 @@ def attribute_closure(seed, fds) -> AttributeClosureResult:
 def _representative(graph: CategoryGraph, lhs: frozenset[str]) -> str | None:
     """Object standing for an LHS set, if any.
 
-    A singleton is represented by the object itself; a composite by a
-    relationship object whose projection targets are exactly the set
-    (e.g. a composite materialized on an earlier run), the first by name.
+    A singleton is represented by the object itself; a composite by the
+    relationship object, first by name, whose projection targets are
+    exactly the set (e.g. a composite materialized on an earlier run).
     """
     if len(lhs) == 1:
         (name,) = lhs
