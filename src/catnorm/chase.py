@@ -8,8 +8,6 @@ past the row cap is an error, never a silent "false".
 
 from __future__ import annotations
 
-import os
-
 from .core import FD, MVD, DependencySet, SchemaError
 
 DEFAULT_ROW_LIMIT = 4096
@@ -17,11 +15,7 @@ DEFAULT_UNIVERSE_BOUND = 12
 
 
 class ChaseLimitExceeded(Exception):
-    """The tableau grew past the configured row cap."""
-
-
-def _row_limit() -> int:
-    return int(os.environ.get("CATNORM_CHASE_LIMIT", DEFAULT_ROW_LIMIT))
+    """The tableau grew past `DEFAULT_ROW_LIMIT` rows."""
 
 
 def _substitute(rows, originals, old, new):
@@ -59,7 +53,6 @@ def chase(deps: DependencySet, lhs, universe, context: str | None = None):
             counter += 2
     originals = [tuple(r1), tuple(r2)]
     rows = {originals[0], originals[1]}
-    limit = _row_limit()
 
     changed = True
     while changed:
@@ -103,9 +96,9 @@ def chase(deps: DependencySet, lhs, universe, context: str | None = None):
             if fresh:
                 rows |= fresh
                 changed = True
-                if len(rows) > limit:
+                if len(rows) > DEFAULT_ROW_LIMIT:
                     raise ChaseLimitExceeded(
-                        f"chase exceeded {limit} rows")
+                        f"chase exceeded {DEFAULT_ROW_LIMIT} rows")
     return rows, originals[0], originals[1], attrs
 
 

@@ -562,7 +562,7 @@ def validate(graph: CategoryGraph, deps: DependencySet) -> list[Violation]:
                 severity="warning"))
         if o.kind == "entity":
             has_attr = any(objmap[t].kind == "attribute"
-                           for t in graph.out_neighbours(o.name) if t in objmap)
+                           for t in graph.out_neighbours(o.name))
             if not has_attr:
                 report.append(Violation(
                     "entity-no-attributes",

@@ -90,7 +90,7 @@ def emit_relational(graph: CategoryGraph) -> RelationalSchema:
         add_neighbours(rel, o.name)
         schema.relations.append(rel)
 
-    _clean(schema, graph)
+    _clean(schema)
 
     for rel in schema.relations:
         keys: list[frozenset[str]] = []
@@ -108,8 +108,7 @@ def emit_relational(graph: CategoryGraph) -> RelationalSchema:
     return schema
 
 
-def _clean(schema: RelationalSchema, graph: CategoryGraph):
-    objmap = graph.object_map
+def _clean(schema: RelationalSchema):
     referenced = set()
     for rel in schema.relations:
         for col, target in rel.foreign_keys:
@@ -130,8 +129,7 @@ def _clean(schema: RelationalSchema, graph: CategoryGraph):
             schema.warnings.append(f"relation {rel.name} subsumed and removed")
         else:
             kept.append(rel)
-    names = {r.name for r in kept if any(c == r.name and r.has_surrogate
-                                         for c in r.sort)}
+    names = {r.name for r in kept if r.has_surrogate}
     for rel in kept:
         rel.foreign_keys = [(c, t) for c, t in rel.foreign_keys
                             if t in names and c != rel.name]
@@ -213,8 +211,7 @@ def render_dtd(dtd: DtdSchema) -> str:
     root_tag = "root"
     lines = []
     factors = dtd.content.get(EPSILON, [])
-    model = ", ".join(factors) if factors else "EMPTY"
-    lines.append(f"<!ELEMENT {root_tag} ({model})>" if factors
+    lines.append(f"<!ELEMENT {root_tag} ({', '.join(factors)})>" if factors
                  else f"<!ELEMENT {root_tag} EMPTY>")
     for tag in dtd.tags:
         kids = dtd.content.get(tag)

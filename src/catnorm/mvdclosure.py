@@ -17,7 +17,6 @@ from .fdclosure import add_inferred_arrows, materialize_declared
 @dataclass(frozen=True)
 class DependencyBasis:
     seed: frozenset[str]
-    context: frozenset[str]
     blocks: tuple[frozenset[str], ...]
 
     def implies(self, rhs) -> bool:
@@ -36,7 +35,9 @@ def dependency_basis(seed, deps: DependencySet, universe,
     """Finest partition of universe - seed multidetermined by the seed.
 
     Dependencies are relativized first (`DependencySet.relativized`); each
-    FD takes part as an MVD (FD-MVD promotion).
+    FD takes part as an MVD (FD-MVD promotion).  Refinement goes in sweeps:
+    each W ->> V splits every block disjoint from W that V cuts, until a
+    sweep splits nothing.  The basis does not depend on the split order.
     """
     seed = frozenset(seed)
     universe = frozenset(universe)
@@ -51,18 +52,17 @@ def dependency_basis(seed, deps: DependencySet, universe,
     while changed:
         changed = False
         for w, v in pairs:
-            for i, b in enumerate(blocks):
-                if b & w:
-                    continue
-                inside, outside = b & v, b - v
-                if inside and outside:
-                    blocks[i:i + 1] = [inside, outside]
+            refined = []
+            for b in blocks:
+                inside = b & v
+                if not inside or inside == b or b & w:
+                    refined.append(b)
+                else:
+                    refined += [inside, b - inside]
                     changed = True
-                    break
-            if changed:
-                break
+            blocks = refined
     blocks.sort(key=lambda b: tuple(sorted(b)))
-    return DependencyBasis(seed=seed, context=universe, blocks=tuple(blocks))
+    return DependencyBasis(seed=seed, blocks=tuple(blocks))
 
 
 def mvd_membership(deps: DependencySet, query: MVD, universe) -> bool:
@@ -112,17 +112,18 @@ def mixed_closure(seed, deps: DependencySet,
     return frozenset(closure)
 
 
-def context_basis(graph: CategoryGraph, deps: DependencySet,
-                  m: MVD) -> DependencyBasis | None:
-    """The dependency basis of m's LHS over the projection targets of m's
-    context; None when the context is not in the graph or m does not lie
-    within its projection targets."""
+def split_mvd(graph: CategoryGraph, deps: DependencySet, m: MVD) -> MVD | None:
+    """The MVD that m's context splits on: m's LHS and the first block of
+    its dependency basis over the context's projection targets.  None when
+    the context is not in the graph, m does not lie within its projection
+    targets, or the basis has a single block."""
     if not graph.has_object(m.context):
         return None
     universe = graph.projection_targets(m.context)
     if not (m.lhs | m.rhs) <= universe:
         return None
-    return dependency_basis(m.lhs, deps, universe, context=m.context)
+    blocks = dependency_basis(m.lhs, deps, universe, context=m.context).blocks
+    return MVD(m.lhs, blocks[0], m.context) if len(blocks) >= 2 else None
 
 
 def identify_mvd_objects(graph: CategoryGraph,
@@ -133,14 +134,10 @@ def identify_mvd_objects(graph: CategoryGraph,
     X u Y strictly inside the projection targets of O.  Seeds are the LHS
     sets of the declared MVDs on O; the dependency basis supplies the
     inferred right-hand sides: any proper block gives such a Y, so O
-    qualifies exactly when some seed's basis has two or more blocks.
+    qualifies exactly when some declared MVD splits it (`split_mvd`).
     """
-    out = set()
-    for m in deps.mvds:
-        basis = context_basis(graph, deps, m)
-        if basis is not None and len(basis.blocks) >= 2:
-            out.add(m.context)
-    return frozenset(out)
+    return frozenset(m.context for m in deps.mvds
+                     if split_mvd(graph, deps, m) is not None)
 
 
 def fd_mvd_closure_graph(graph: CategoryGraph, fds, mvds,

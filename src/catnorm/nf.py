@@ -20,12 +20,14 @@ FOURNF_SORT_BOUND = 8
 
 @dataclass(frozen=True)
 class PathFD:
-    """Dot-path dependency over a DTD (paths may end in "@attr" or "#P")."""
-    lhs: frozenset[str]
-    rhs: str
+    """Path dependency over a DTD.  A path is a tuple of steps from the
+    root "ε": element names, then possibly "@attr" or "#P"."""
+    lhs: frozenset[tuple[str, ...]]
+    rhs: tuple[str, ...]
 
     def __str__(self):
-        return f"{','.join(sorted(self.lhs))} -> {self.rhs}"
+        lhs = ",".join(sorted(".".join(p) for p in self.lhs))
+        return f"{lhs} -> {'.'.join(self.rhs)}"
 
 
 @dataclass
@@ -167,20 +169,15 @@ def derive_xml_fds(graph: CategoryGraph, dtd: DtdSchema) -> list[PathFD]:
     for a in graph.arrows:
         o1, o2 = a.source, a.target
         if o2 in dtd.content.get(o1, ()):
-            out.append(PathFD(frozenset([f"ε.{o1}.#P"]),
-                              f"ε.{o1}.{o2}.#P"))
+            out.append(PathFD(frozenset([("ε", o1, "#P")]),
+                              ("ε", o1, o2, "#P")))
         elif f"@{o2}_ID" in dtd.tag_attrs.get(o1, ()):
-            out.append(PathFD(frozenset([f"ε.{o1}.@ID"]),
-                              f"ε.{o1}.@{o2}_ID"))
+            out.append(PathFD(frozenset([("ε", o1, "@ID")]),
+                              ("ε", o1, f"@{o2}_ID")))
         else:
             raise SchemaError(
                 f"internal error: arrow {o1} -> {o2} has no locus in the DTD")
     return out
-
-
-def _path_depth(path: str) -> int:
-    parts = path.split(".")
-    return len([p for p in parts[1:] if not p.startswith("@") and p != "#P"])
 
 
 def check_xml_nf(dtd: DtdSchema, fds) -> NfReport:
@@ -190,7 +187,7 @@ def check_xml_nf(dtd: DtdSchema, fds) -> NfReport:
     report = NfReport(subject="dtd", verdict="satisfied")
     violated = unknown = False
     for f in fds:
-        if not (f.rhs.endswith(".#P") or f.rhs.endswith(".@ID")):
+        if f.rhs[-1] not in ("#P", "@ID"):
             continue  # condition only constrains value-carrying targets
         if f.rhs in f.lhs:
             continue  # trivial
@@ -201,14 +198,15 @@ def check_xml_nf(dtd: DtdSchema, fds) -> NfReport:
                                                "decidable fragment"})
             continue
         (x,) = f.lhs
-        if x.endswith(".@ID"):
+        last, text = x[-1], ".".join(x)
+        if last == "@ID":
             continue  # an ID determines its element
-        if x.endswith(".#P"):
-            if _path_depth(x) <= 1:
+        if last == "#P":
+            if sum(s != "#P" and not s.startswith("@") for s in x[1:]) <= 1:
                 continue  # once-stored value under the root determines it
-            reason = f"{x} does not determine its element path"
-        elif "@" in x:
-            reason = (f"reference attribute {x} does not determine "
+            reason = f"{text} does not determine its element path"
+        elif last.startswith("@"):
+            reason = (f"reference attribute {text} does not determine "
                       f"its element path")
         elif "#P" not in x:
             continue  # plain element path determines itself

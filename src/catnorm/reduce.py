@@ -17,7 +17,7 @@ from .core import (
     graph_to_fds,
 )
 from .fdclosure import RedundancyIndex, derivable_without, fd_closure_graph
-from .mvdclosure import context_basis, fd_mvd_closure_graph
+from .mvdclosure import fd_mvd_closure_graph, split_mvd
 
 
 @dataclass
@@ -216,17 +216,6 @@ def _recontextualize(mvds, old: str, graph: CategoryGraph,
     return tuple(out)
 
 
-def _split_mvd(graph: CategoryGraph, deps: DependencySet, m: MVD) -> MVD | None:
-    """The MVD a context would be split on for its declared MVD m: the
-    smallest block of m's dependency basis, or None when the basis has one
-    block or m does not lie within its context."""
-    basis = context_basis(graph, deps, m)
-    if basis is None or len(basis.blocks) < 2:
-        return None
-    block = min(basis.blocks, key=lambda b: tuple(sorted(b)))
-    return MVD(m.lhs, block, m.context)
-
-
 def _remove_objects(graph: CategoryGraph, fds, mvds,
                     trace: ReductionTrace) -> CategoryGraph:
     """Split derivable MVD objects until none is left, then drop the
@@ -249,7 +238,7 @@ def _remove_objects(graph: CategoryGraph, fds, mvds,
     while True:
         for m in deps.mvds:
             if m not in split_of:
-                split_of[m] = _split_mvd(graph, deps, m)
+                split_of[m] = split_mvd(graph, deps, m)
         splits = [split_of[m] for m in deps.mvds if split_of[m] is not None]
         marked = frozenset(m.context for m in splits)
         if marked != graph.mvd_objects:

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from catnorm import DependencySet, SchemaError, chase, chase_implies, fd, mvd
@@ -60,7 +62,9 @@ def test_lhs_outside_universe():
 
 
 def test_row_cap_is_an_error(monkeypatch):
-    monkeypatch.setenv("CATNORM_CHASE_LIMIT", "4")
+    # the package exports the function `chase` under the module's name
+    monkeypatch.setattr(importlib.import_module("catnorm.chase"),
+                        "DEFAULT_ROW_LIMIT", 4)
     attrs = [f"A{i}" for i in range(6)]
     deps = DependencySet(mvds=tuple(
         mvd([attrs[i]], [attrs[i + 1]], "U") for i in range(5)))

@@ -136,6 +136,21 @@ def test_check_clean_pipeline(capsys, data_dir, tmp_path):
     assert "satisfied" in err
 
 
+@pytest.mark.parametrize("entity", ["Ex", "E.x"])
+def test_check_xml_nf_dotted_entity_name(capsys, tmp_path, entity):
+    # an entity's dotted name is one element step, not two
+    doc = tmp_path / "dotted.json"
+    doc.write_text(json.dumps({
+        "objects": [{"name": entity, "kind": "entity"},
+                    {"name": "a", "kind": "attribute"}],
+        "arrows": [{"name": "f", "source": entity, "target": "a"}]}))
+    code, _, _ = run(capsys, "check", "--level", "1", "--check", "xmlnf",
+                     "--out-dir", str(tmp_path), str(doc))
+    (report,) = json.loads((tmp_path / "dotted.report.json").read_text())
+    assert code == 0
+    assert report["verdict"] == "satisfied" and not report["witnesses"]
+
+
 @pytest.mark.parametrize("check, width", [("bcnf", 13), ("4nf", 9)])
 def test_check_over_bound_is_unknown(capsys, tmp_path, check, width):
     attrs = [f"a{i}" for i in range(width)]

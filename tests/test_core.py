@@ -107,6 +107,23 @@ def test_parse_rejects_malformed_shapes(doc, message):
         parse_schema(doc)
 
 
+_UNDECLARED = {
+    "fd side": ('"fds": [{"lhs": ["A"], "rhs": ["Z"]}]',
+                "undeclared object Z in fd"),
+    "mvd side": ('"mvds": [{"lhs": ["Z"], "rhs": ["B"], "context": "A"}]',
+                 "undeclared object Z in mvd"),
+    "mvd context": ('"mvds": [{"lhs": ["A"], "rhs": ["B"], "context": "Z"}]',
+                    "undeclared object Z in mvd context"),
+}
+
+
+@pytest.mark.parametrize("deps, message", _UNDECLARED.values(),
+                         ids=_UNDECLARED)
+def test_parse_rejects_undeclared_dependency_names(deps, message):
+    with pytest.raises(SchemaError, match=message):
+        parse_schema(f'{{"objects": [{_AB}], {deps}}}')
+
+
 def test_parse_syntax_error_has_position():
     with pytest.raises(SchemaError, match="line 1"):
         parse_schema("{nope")
@@ -117,6 +134,18 @@ def test_roundtrip(fig5, fig6):
         graph2, deps2 = parse_schema(serialize_schema(graph, deps))
         assert graph2 == graph
         assert deps2 == deps
+
+
+def test_roundtrip_keeps_limit_flag():
+    graph = CategoryGraph(
+        objects=(ObjectDecl("A", "entity"), ObjectDecl("B", "entity"),
+                 ObjectDecl("R", "relationship", is_limit=True)),
+        arrows=(Arrow("p", "R", "A", is_projection=True),
+                Arrow("q", "R", "B", is_projection=True)))
+    text = serialize_schema(graph, DependencySet())
+    assert '"limit": true' in text
+    graph2, _ = parse_schema(text)
+    assert graph2 == graph and graph2.object_map["R"].is_limit
 
 
 def test_limit_flag_requires_relationship():
@@ -149,6 +178,33 @@ def test_validate_mvd_containment(fig6):
     graph = graph.with_object(ObjectDecl("E0", "entity"))
     report = validate(graph, bad)
     assert any(v.code == "mvd-containment" for v in report)
+
+
+def test_validate_mvd_object_must_be_relationship():
+    graph = CategoryGraph(objects=(ObjectDecl("A", "entity"),),
+                          mvd_objects=frozenset(["A"]))
+    report = validate(graph, DependencySet())
+    assert [v.code for v in report if v.severity == "error"] \
+        == ["mvd-object-kind"]
+
+
+def test_validate_mvd_context_must_be_relationship():
+    graph = CategoryGraph(
+        objects=(ObjectDecl("A", "entity"), ObjectDecl("B", "attribute"),
+                 ObjectDecl("C", "attribute")),
+        arrows=(Arrow("f", "A", "B"), Arrow("g", "A", "C")))
+    report = validate(graph, DependencySet(mvds=(mvd("B", "C", "A"),)))
+    (error,) = [v for v in report if v.severity == "error"]
+    assert error.code == "mvd-context"
+    assert "not a relationship object" in error.message
+
+
+def test_relationship_without_projections_is_warning_only():
+    graph = CategoryGraph(objects=(ObjectDecl("R", "relationship"),))
+    report = validate(graph, DependencySet())
+    assert [(v.code, v.severity) for v in report] \
+        == [("relationship-no-projections", "warning")]
+    assert is_valid(report)
 
 
 def test_validate_projection_source():

@@ -153,8 +153,8 @@ def test_xml_nf_fig5_satisfied(fig5):
 
 def test_xml_nf_student_counterexample():
     # BirthYear value does not determine the Age element it sits beside
-    bad = PathFD(frozenset(["ε.Student.BirthYear.#P"]),
-                 "ε.Student.Age.#P")
+    bad = PathFD(frozenset([("ε", "Student", "BirthYear", "#P")]),
+                 ("ε", "Student", "Age", "#P"))
     from catnorm import DtdSchema
     report = check_xml_nf(DtdSchema(), [bad])
     assert report.verdict == "violated"
@@ -165,8 +165,8 @@ def test_xml_nf_verdict_ignores_witness_text():
     # an element name that appears in the unknown-verdict reasons
     # does not hide the violation
     from catnorm import DtdSchema
-    bad = PathFD(frozenset(["ε.fragment.BirthYear.#P"]),
-                 "ε.fragment.Age.#P")
+    bad = PathFD(frozenset([("ε", "fragment", "BirthYear", "#P")]),
+                 ("ε", "fragment", "Age", "#P"))
     assert check_xml_nf(DtdSchema(), [bad]).verdict == "violated"
 
 
@@ -177,7 +177,8 @@ def test_xml_nf_no_fds():
 
 def test_xml_nf_unknown_fragment():
     from catnorm import DtdSchema
-    weird = PathFD(frozenset(["ε.A.#P", "ε.B.#P"]), "ε.C.@ID")
+    weird = PathFD(frozenset([("ε", "A", "#P"), ("ε", "B", "#P")]),
+                   ("ε", "C", "@ID"))
     assert check_xml_nf(DtdSchema(), [weird]).verdict == "unknown"
 
 
