@@ -1,7 +1,7 @@
 """Command-line front end: validate -> closure -> reduce -> emit -> check.
 
-Exit codes: 0 success, 1 parse/validation error, 2 internal invariant
-failure, 3 normal-form violation, 4 unknown verdicts present.
+Exit codes: 0 success, 1 usage, parse, validation or file error, 2 internal
+invariant failure, 3 normal-form violation, 4 unknown verdicts present.
 """
 
 from __future__ import annotations
@@ -77,22 +77,23 @@ def _err(msg: str):
     print(f"catnorm: {msg}", file=sys.stderr)
 
 
-def _load(path: Path) -> tuple[CategoryGraph, DependencySet]:
+def _read(path: Path) -> str:
+    """The text of an input file; any failure is a `SchemaError`."""
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e.strerror}")
-    return parse_schema(text)
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"cannot read {path}: not UTF-8 ({e.reason} at "
+                          f"byte {e.start})")
 
 
 def _load_assignment(path: Path, graph: CategoryGraph) -> dict[str, str]:
     """The --assignment document: a JSON object naming a partition (a
     string) for every object of the input."""
     try:
-        assignment = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise SchemaError(f"cannot read {path}: {e.strerror}")
-    except json.JSONDecodeError as e:
+        assignment = json.loads(_read(path))
+    except (ValueError, RecursionError) as e:  # bad JSON, deep nesting
         raise SchemaError(f"assignment {path}: {e}")
     if not isinstance(assignment, dict) or not all(
             isinstance(v, str) for v in assignment.values()):
@@ -182,7 +183,7 @@ def _run_checks(config: PipelineConfig, graph: CategoryGraph,
 
 def run_pipeline(config: PipelineConfig) -> int:
     try:
-        graph, deps = _load(config.input_path)
+        graph, deps = parse_schema(_read(config.input_path))
         report = validate(graph, deps)
         for v in report:
             _err(f"{v.severity}: [{v.code}] {v.message}")
@@ -260,18 +261,21 @@ def run_pipeline(config: PipelineConfig) -> int:
             _write(config, f"{stem}.hybrid.json", render_hybrid(parts))
 
         reports = _run_checks(config, reduced, deps, schema, dtd, summary)
+        if config.checks:
+            _write(config, f"{stem}.report.json", json.dumps(
+                [r.to_json() for r in reports], indent=2) + "\n")
     except SchemaError as e:
         _err(f"internal: {e}")
         return EXIT_INTERNAL
+    except OSError as e:
+        _err(f"cannot write {e.filename}: {e.strerror}")
+        return EXIT_INPUT
 
     print("\n".join(summary), file=sys.stderr)
-    if config.checks:
-        _write(config, f"{stem}.report.json",
-               json.dumps([r.to_json() for r in reports], indent=2) + "\n")
-        if any(r.verdict == "violated" for r in reports):
-            return EXIT_VIOLATED
-        if any(r.verdict == "unknown" for r in reports):
-            return EXIT_UNKNOWN
+    if any(r.verdict == "violated" for r in reports):
+        return EXIT_VIOLATED
+    if any(r.verdict == "unknown" for r in reports):
+        return EXIT_UNKNOWN
     return EXIT_OK
 
 
@@ -285,8 +289,17 @@ def _split_list(value: str, allowed: tuple[str, ...],
     return items
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as input errors do;
+    argparse's own code 2 would read as an internal failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="catnorm",
         description="Schema normalization over category-graph "
                     "representations")

@@ -10,7 +10,7 @@ dependencies ride along in a :class:`DependencySet`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 OBJECT_KINDS = ("entity", "relationship", "attribute")
@@ -125,8 +125,6 @@ class FDIndex:
         """Closure of `seed` under every FD whose id is not in `skip`.  It
         stops as soon as `until` enters, so the result is then partial."""
         closure = set(seed)
-        if until in closure:
-            return closure
         need, rhs, users = self.need, self.rhs, self.users
         missing: dict[int, int] = {}
         frontier = list(closure)
@@ -149,20 +147,22 @@ class FDIndex:
         return closure
 
 
-class CanonicalFDs:
-    """The canonical form of some FDs, built on first use, with its
-    indexes: `index` for closures and `inside` for the FDs within a
-    universe.  A dependency set shares it with every set that
-    `DependencySet.with_mvds` makes from it."""
+@dataclass(frozen=True)
+class DependencySet:
+    fds: tuple[FD, ...] = ()
+    mvds: tuple[MVD, ...] = ()
 
-    def __init__(self, source: tuple[FD, ...]):
-        self.source = source
+    # The FD parts below are built on first use and kept on this instance;
+    # `with_mvds` hands on those already built.
+
+    def canonical_fds(self) -> tuple[FD, ...]:
+        """Split every FD into singleton-rhs form, dropping duplicates."""
+        return self._canonical
 
     @cached_property
-    def fds(self) -> tuple[FD, ...]:
-        """Every FD split into singleton-rhs form, duplicates dropped."""
+    def _canonical(self) -> tuple[FD, ...]:
         seen, out = set(), []
-        for f in self.source:
+        for f in self.fds:
             for a in sorted(f.rhs):
                 c = FD(f.lhs, frozenset([a]))
                 if c not in seen:
@@ -171,52 +171,28 @@ class CanonicalFDs:
         return tuple(out)
 
     @cached_property
-    def index(self) -> FDIndex:
-        """The FDs indexed for closures; shared, so never to be shrunk."""
-        return FDIndex(self.fds)
+    def fd_index(self) -> FDIndex:
+        """The canonical FDs indexed for closures; shared, so never to be
+        shrunk."""
+        return FDIndex(self._canonical)
 
     @cached_property
     def _by_rhs(self) -> dict[str, list[int]]:
+        """Per attribute, the ids of the canonical FDs with it as RHS."""
         ids: dict[str, list[int]] = {}
-        for i, f in enumerate(self.fds):
+        for i, f in enumerate(self._canonical):
             (a,) = f.rhs
             ids.setdefault(a, []).append(i)
         return ids
 
-    def inside(self, universe: frozenset[str]) -> tuple[FD, ...]:
-        """The FDs lying wholly inside `universe`, in canonical order."""
-        by_rhs, fds = self._by_rhs, self.fds
-        ids = sorted(i for a in universe for i in by_rhs.get(a, ()))
-        return tuple(fds[i] for i in ids if fds[i].lhs <= universe)
-
-
-@dataclass(frozen=True)
-class DependencySet:
-    fds: tuple[FD, ...] = ()
-    mvds: tuple[MVD, ...] = ()
-    # the canonical FDs and their indexes, handed on by `with_mvds`
-    _canonical: CanonicalFDs | None = field(
-        default=None, repr=False, compare=False, kw_only=True)
-
-    def __post_init__(self):
-        # a part built from other FDs, as `dataclasses.replace` with new
-        # FDs would hand on, is not this set's
-        if self._canonical is None or self._canonical.source is not self.fds:
-            object.__setattr__(self, "_canonical", CanonicalFDs(self.fds))
-
-    def canonical_fds(self) -> tuple[FD, ...]:
-        """Split every FD into singleton-rhs form, dropping duplicates."""
-        return self._canonical.fds
-
-    @property
-    def fd_index(self) -> FDIndex:
-        """The canonical FDs indexed for closures; shared, so never to be
-        shrunk."""
-        return self._canonical.index
-
     def with_mvds(self, mvds) -> "DependencySet":
-        """The same FDs with other MVDs; the FD indexes carry over."""
-        return replace(self, mvds=tuple(mvds))
+        """The same FDs with other MVDs; the FD parts built so far carry
+        over."""
+        out = DependencySet(self.fds, tuple(mvds))
+        for part in ("_canonical", "fd_index", "_by_rhs"):
+            if part in self.__dict__:
+                out.__dict__[part] = self.__dict__[part]
+        return out
 
     @cached_property
     def _relativized(self) -> dict:
@@ -235,8 +211,10 @@ class DependencySet:
         universe = frozenset(universe)
         found = self._relativized.get((universe, context))
         if found is None:
+            fds, by_rhs = self._canonical, self._by_rhs
+            ids = sorted(i for a in universe for i in by_rhs.get(a, ()))
             found = DependencySet(
-                fds=self._canonical.inside(universe),
+                fds=tuple(fds[i] for i in ids if fds[i].lhs <= universe),
                 mvds=tuple(m for m in self.mvds
                            if (context is None or m.context == context)
                            and m.lhs | m.rhs <= universe))
@@ -376,14 +354,19 @@ def _entries(doc: dict, key: str) -> list[dict]:
 
 
 def _check_keys(entry: dict, allowed: set, required: tuple[str, ...],
-                where: str) -> None:
-    """Reject unknown keys, and `required` keys without a string value."""
+                where: str, flags: tuple[str, ...] = ()) -> None:
+    """Reject unknown keys, `required` keys without a string value, and
+    `flags` keys whose value is not a JSON boolean."""
     unknown = set(entry) - allowed
     if unknown:
         raise SchemaError(f"unknown key(s) {sorted(unknown)} in {where}")
     for key in required:
         if not isinstance(entry.get(key), str):
             raise SchemaError(f"{where} needs a string {key!r}")
+    for key in flags:
+        if not isinstance(entry.get(key, False), bool):
+            raise SchemaError(f"{where} needs true or false for {key!r}, "
+                              f"not {entry[key]!r}")
 
 
 def parse_schema(text: str) -> tuple[CategoryGraph, DependencySet]:
@@ -406,11 +389,11 @@ def parse_schema(text: str) -> tuple[CategoryGraph, DependencySet]:
     objects = []
     for entry in _entries(doc, "objects"):
         _check_keys(entry, _OBJ_KEYS, ("name", "kind"),
-                    f"object {entry.get('name', '?')!r}")
+                    f"object {entry.get('name', '?')!r}", flags=("limit",))
         objects.append(ObjectDecl(
             name=entry["name"],
             kind=entry["kind"],
-            is_limit=bool(entry.get("limit", False)),
+            is_limit=entry.get("limit", False),
         ))
     graph = CategoryGraph(objects=tuple(objects))
     declared = set(graph.object_map)
@@ -418,7 +401,8 @@ def parse_schema(text: str) -> tuple[CategoryGraph, DependencySet]:
     arrows = []
     for entry in _entries(doc, "arrows"):
         _check_keys(entry, _ARROW_KEYS, ("name", "source", "target"),
-                    f"arrow {entry.get('name', '?')!r}")
+                    f"arrow {entry.get('name', '?')!r}",
+                    flags=("projection",))
         for end in (entry["source"], entry["target"]):
             if end not in declared:
                 raise SchemaError(f"undeclared object {end}")
@@ -426,7 +410,7 @@ def parse_schema(text: str) -> tuple[CategoryGraph, DependencySet]:
             name=entry["name"],
             source=entry["source"],
             target=entry["target"],
-            is_projection=bool(entry.get("projection", False)),
+            is_projection=entry.get("projection", False),
         ))
 
     def _names(values, where):

@@ -74,13 +74,6 @@ def mvd_membership(deps: DependencySet, query: MVD, universe) -> bool:
     return basis.implies(query.rhs)
 
 
-def fd_rhs_attributes(deps: DependencySet, universe) -> frozenset[str]:
-    out = set()
-    for f in deps.relativized(universe).fds:
-        out |= f.rhs
-    return frozenset(out)
-
-
 def mixed_closure(seed, deps: DependencySet,
                   contexts: dict[str, frozenset[str]]) -> frozenset[str]:
     """FD closure of a seed under FDs plus context-bound MVDs.
@@ -90,8 +83,8 @@ def mixed_closure(seed, deps: DependencySet,
     functionally determined attribute (the FD/MVD interaction rule).
     Iterates to mutual stability.
     """
-    derivable = {ctx: fd_rhs_attributes(deps, universe)
-                 for ctx, universe in contexts.items()}
+    derivable = {ctx: {a for f in deps.relativized(u).fds for a in f.rhs}
+                 for ctx, u in contexts.items()}
     closure = deps.fd_index.closure(seed)
     changed = True
     while changed:

@@ -105,6 +105,92 @@ def test_emit_requires_target(capsys, data_dir):
     assert code == 1 and "--emit" in err
 
 
+REDUNDANT = {
+    "objects": [{"name": "A", "kind": "entity"},
+                {"name": "B", "kind": "entity"},
+                {"name": "c", "kind": "attribute"}],
+    "arrows": [{"name": "f", "source": "A", "target": "B"},
+               {"name": "g", "source": "B", "target": "c"},
+               {"name": "h", "source": "A", "target": "c"}],
+}
+
+
+def test_emit_relational_warns_on_unreduced_input(capsys, tmp_path):
+    schema = tmp_path / "x.json"
+    schema.write_text(json.dumps(REDUNDANT))
+    code, out, err = run(capsys, "emit", str(schema), "--emit", "relational",
+                         "--stdout")
+    line = "input graph is not reduced: arrow A -> c is redundant"
+    assert code == 0
+    assert f"catnorm: warning: {line}" in err.splitlines()
+    assert f"-- warning: {line}" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["emit", "--emit", "sql"], "unknown target 'sql'"),
+    (["check", "--check", "5nf"], "unknown check '5nf'"),
+    (["check", "--check", "bcnf", "--level", "3"], "invalid choice: 3"),
+    (["normalize"], "invalid choice: 'normalize'"),
+    (["validate", "--verbose"], "unrecognized arguments: --verbose"),
+], ids=["emit sql", "check 5nf", "level 3", "unknown subcommand",
+        "unknown flag"])
+def test_usage_error_exits_1(capsys, data_dir, argv, message):
+    """argparse exits 2 on its own, which the README keeps for internal
+    failures; a malformed command line is an input error."""
+    with pytest.raises(SystemExit) as caught:
+        main(argv + [str(data_dir / "fig5.json")])
+    err = capsys.readouterr().err
+    assert caught.value.code == 1
+    assert "usage: catnorm" in err and message in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["--help"])
+    assert caught.value.code == 0
+    assert "usage: catnorm" in capsys.readouterr().out
+
+
+def test_schema_not_utf8_is_input_error(capsys, tmp_path):
+    schema = tmp_path / "x.json"
+    schema.write_bytes(b'{"objects": [{"name": "\xff", "kind": "entity"}]}')
+    code, _, err = run(capsys, "validate", str(schema))
+    assert code == 1 and "catnorm: cannot read" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b'{"A": "\xff"}', "UTF-8"),
+    (b'{"A": ' + b"1" * 5000 + b"}", "assignment"),
+    (b"[" * 100000, "assignment"),
+], ids=["not utf-8", "long number", "deep nesting"])
+def test_unreadable_assignment_is_input_error(capsys, data_dir, tmp_path,
+                                              content, message):
+    path = tmp_path / "assign.json"
+    path.write_bytes(content)
+    code, _, err = run(capsys, "hybrid", "--assignment", str(path),
+                       "--out-dir", str(tmp_path),
+                       str(data_dir / "fig5.json"))
+    assert code == 1 and "catnorm: " in err and message in err
+    assert not (tmp_path / "fig5.hybrid.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["emit", "--emit", "relational"],
+    ["check", "--check", "bcnf"],
+], ids=["emit", "check report"])
+def test_out_dir_naming_a_file_is_input_error(capsys, data_dir, tmp_path,
+                                              argv):
+    """Writing runs where a `SchemaError` means an internal failure; a
+    file in the way is the user's, so it exits 1."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code, _, err = run(capsys, *argv, "--out-dir", str(taken),
+                       str(data_dir / "fig5.json"))
+    assert code == 1
+    assert f"catnorm: cannot write {taken}: File exists" in err
+    assert "internal" not in err
+
+
 def test_reduce_hybrid_requires_assignment(capsys, data_dir, tmp_path):
     code, _, err = run(capsys, "reduce", "--emit", "hybrid",
                        "--out-dir", str(tmp_path),

@@ -96,6 +96,13 @@ _MALFORMED = {
         f'{{"objects": [{_AB}], "mvds": [{{"lhs": ["A"], "rhs": ["B"], '
         f'"context": ["A"]}}]}}', "needs a string 'context'"),
     "string mvd_objects": ('{"mvd_objects": "A"}', "list of object names"),
+    "string limit": (
+        '{"objects": [{"name": "R", "kind": "relationship", "limit": "no"}]}',
+        "needs true or false for 'limit', not 'no'"),
+    "string projection": (
+        f'{{"objects": [{_AB}], "arrows": [{{"name": "f", "source": "A", '
+        f'"target": "B", "projection": "false"}}]}}',
+        "needs true or false for 'projection', not 'false'"),
     "deep nesting": ("[" * 100000, "unreadable"),
     "long number": ("1" * 5000, "unreadable"),
 }
@@ -205,6 +212,20 @@ def test_relationship_without_projections_is_warning_only():
     assert [(v.code, v.severity) for v in report] \
         == [("relationship-no-projections", "warning")]
     assert is_valid(report)
+
+
+def test_validate_reports_undeclared_names():
+    """`parse_schema` rejects both cases, so only hand-built graphs get
+    here."""
+    graph = CategoryGraph(objects=(ObjectDecl("A", "entity"),),
+                          arrows=(Arrow("f", "A", "Z"),))
+    report = validate(graph, DependencySet(fds=(fd("A", "Y"),)))
+    assert {v.code for v in report if v.severity == "error"} == \
+        {"undeclared-object", "fd-undeclared"}
+    assert any("'Z'" in v.message for v in report
+               if v.code == "undeclared-object")
+    assert any("['Y']" in v.message for v in report
+               if v.code == "fd-undeclared")
 
 
 def test_validate_projection_source():

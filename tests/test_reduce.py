@@ -89,6 +89,13 @@ def test_decompose_requires_derivable(fig6):
         decompose_mvd_object(graph, "X", mvd("A", "B", "X"))
 
 
+def test_decompose_rejects_mvd_of_another_context(fig6):
+    graph, deps = fig6
+    closed = fd_mvd_closure_graph(graph, deps.fds, deps.mvds)
+    with pytest.raises(SchemaError, match="does not match 'X'"):
+        decompose_mvd_object(closed, "X", mvd("A", "B", "Y"))
+
+
 def test_decompose_degenerate_split(fig6):
     graph, deps = fig6
     closed = fd_mvd_closure_graph(graph, deps.fds, deps.mvds)
