@@ -7,6 +7,11 @@ closes from scratch.  Along one pass, every verdict of the library must
 agree with the reference's on the same graph, and the pass must return the
 graph the reference's verdicts give.  Beyond the random schemas the inputs
 cover key FDs, long derivation chains and materialized composites.
+
+The prune-then-close loop is checked against a reference copy too: the
+loop that ran until two passes in a row gave the same arrows, projections
+and objects.  Both reductions must give the same objects, arrows (in
+order), MVD-object marks and trace with either loop.
 """
 
 import random
@@ -34,6 +39,7 @@ from catnorm.fdclosure import (
 
 from genschema import (
     chain_schema,
+    contexts_schema,
     cluster_schema,
     composite_schema,
     random_fd_schema,
@@ -137,12 +143,16 @@ def sized_cases(schema, sizes):
     return cases
 
 
+SIZES = {
+    "cluster": (cluster_schema, range(10, 85, 10)),
+    "chain": (chain_schema, range(12, 21, 2)),
+    "composite": (composite_schema, (1, 2, 4)),
+}
+
 FAMILIES = {
     "random_fd": random_fd_cases,
     "random_mvd": random_mvd_cases,
-    "cluster": sized_cases(cluster_schema, range(10, 85, 10)),
-    "chain": sized_cases(chain_schema, range(12, 21, 2)),
-    "composite": sized_cases(composite_schema, (1, 2, 4)),
+    **{family: sized_cases(*sizes) for family, sizes in SIZES.items()},
 }
 
 
@@ -169,3 +179,71 @@ def test_non_thin_graph_is_rejected():
         first_reduced(graph, fds)
     with pytest.raises(SchemaError, match="not thin"):
         second_reduced(graph, fds, ())
+
+
+def ref_prune_to_fixpoint(graph, close_fn, fds):
+    """The loop that stops only when two passes in a row agree."""
+    prev = None
+    for _ in range(64):
+        pruned = reduce._prune_redundant_arrows(graph, fds)
+        state = (pruned.arrow_pairs(),
+                 frozenset(a.pair for a in pruned.arrows if a.is_projection),
+                 frozenset(o.name for o in pruned.objects))
+        if state == prev:
+            return pruned
+        prev = state
+        graph = close_fn(pruned)
+    raise SchemaError("arrow pruning did not reach a fixpoint")
+
+
+def reduction_cases():
+    """(name, reduce function, graph, declared dependencies)."""
+    first = lambda g, deps: first_reduced(g, deps.fds)
+    second = lambda g, deps: second_reduced(g, deps.fds, deps.mvds)
+    for seed in range(1000):
+        yield (f"fd seed {seed}", first,
+               *random_fd_schema(random.Random(seed)))
+    for seed in range(500):
+        yield (f"mvd seed {seed}", second,
+               *random_mvd_schema(random.Random(seed)))
+    for k in range(1, 13):
+        for seed in range(6):
+            yield (f"contexts k={k} seed {seed}", second,
+                   *contexts_schema(k, random.Random(seed)))
+    for family, (schema, sizes) in SIZES.items():
+        for m in sizes:
+            yield f"{family} size {m}", first, *schema(m)
+
+
+def outcome(reduce_fn, graph, deps):
+    try:
+        reduced, trace = reduce_fn(graph, deps)
+    except SchemaError as e:
+        return str(e)
+    return (reduced.objects, reduced.arrows, reduced.mvd_objects,
+            trace.to_json())
+
+
+def test_fixpoint_matches_reference(monkeypatch):
+    passes = []
+
+    def counted_reference(graph, close_fn, fds):
+        closures = []
+
+        def close(g):
+            closures.append(g)
+            return close_fn(g)
+
+        result = ref_prune_to_fixpoint(graph, close, fds)
+        passes.append(len(closures) + 1)
+        return result
+
+    library = reduce._prune_to_fixpoint
+    for name, reduce_fn, graph, deps in reduction_cases():
+        monkeypatch.setattr(reduce, "_prune_to_fixpoint", library)
+        got = outcome(reduce_fn, graph, deps)
+        monkeypatch.setattr(reduce, "_prune_to_fixpoint", counted_reference)
+        assert got == outcome(reduce_fn, graph, deps), name
+    # the sample holds reductions that pruned a projection and went round
+    # again before the reference's two agreeing passes
+    assert sum(n >= 3 for n in passes) > 100
