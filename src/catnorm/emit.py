@@ -69,7 +69,15 @@ def emit_relational(graph: CategoryGraph) -> RelationalSchema:
     bijective: dict[str, list[str]] = {}
 
     def add_neighbours(rel: RelationDecl, name: str):
-        for n in graph.out_neighbours(name):
+        """Depth-first, in preorder, through the bidirectional neighbours;
+        an explicit stack, so a long two-way chain cannot overflow."""
+        stack = [(name, iter(graph.out_neighbours(name)))]
+        while stack:
+            name, neighbours = stack[-1]
+            n = next(neighbours, None)
+            if n is None:
+                stack.pop()
+                continue
             if n not in rel.sort:
                 rel.sort.append(n)
             if _is_referencing(objmap[n].kind):
@@ -78,7 +86,7 @@ def emit_relational(graph: CategoryGraph) -> RelationalSchema:
                 bijective.setdefault(rel.name, []).append(n)
                 if n not in processed:
                     processed.add(n)
-                    add_neighbours(rel, n)
+                    stack.append((n, iter(graph.out_neighbours(n))))
 
     for o in graph.objects:
         if o.name in processed or not graph.out_neighbours(o.name):

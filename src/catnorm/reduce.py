@@ -100,21 +100,19 @@ def _prune_redundant_arrows(graph: CategoryGraph, fds) -> CategoryGraph:
 
 
 def _prune_to_fixpoint(graph: CategoryGraph, close_fn, fds) -> CategoryGraph:
-    """Alternate pruning with re-closure until the result is stable.
+    """Alternate pruning with re-closure until a pass prunes no projection.
 
     A single greedy pass is order-sensitive: pruning a projection arrow
     strengthens its source's key dependency, and the closure of the pruned
-    graph can then justify a different greedy outcome.  Iterating makes the
-    reduction a fixpoint of prune-then-close, hence idempotent."""
-    prev = None
+    graph can then justify a different greedy outcome.  A pass that prunes
+    no projection leaves every key as it was and removes only arrows the
+    rest derives, so closing and pruning again would give the same graph:
+    that pass is final."""
     for _ in range(64):
         pruned = _prune_redundant_arrows(graph, fds)
-        state = (pruned.arrow_pairs(),
-                 frozenset(a.pair for a in pruned.arrows if a.is_projection),
-                 frozenset(o.name for o in pruned.objects))
-        if state == prev:
+        if sum(a.is_projection for a in pruned.arrows) == \
+                sum(a.is_projection for a in graph.arrows):
             return pruned
-        prev = state
         graph = close_fn(pruned)
     raise SchemaError("arrow pruning did not reach a fixpoint")
 

@@ -350,3 +350,20 @@ def test_deterministic_output(capsys, data_dir, tmp_path):
             "--out-dir", str(out), str(data_dir / "fig6.json"))
     for name in ("fig6.sql", "fig6.dtd", "fig6.pg.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_internal_schema_error_exits_2(capsys, monkeypatch, data_dir):
+    """A `SchemaError` past input checking is an internal failure: exit 2
+    with one `catnorm: internal:` line and no traceback."""
+    import catnorm.cli
+    from catnorm import SchemaError
+
+    def boom(graph, fds):
+        raise SchemaError("boom")
+
+    monkeypatch.setattr(catnorm.cli, "first_reduced", boom)
+    code, out, err = run(capsys, "reduce", "--level", "1", "--stdout",
+                         str(data_dir / "fig5.json"))
+    assert code == 2 and out == ""
+    assert "catnorm: internal: boom" in err.splitlines()
+    assert "Traceback" not in err

@@ -112,6 +112,53 @@ def test_relational_bijective_candidate_key():
     assert frozenset(["B"]) in rel.candidate_keys
 
 
+def test_relational_long_two_way_chain():
+    """One relation gathers a two-way chain far longer than Python's
+    recursion limit."""
+    names = [f"E{i}" for i in range(1200)]
+    arrows = [Arrow(f"{d}{i}", s, t)
+              for i, (u, v) in enumerate(zip(names, names[1:]))
+              for d, s, t in (("f", u, v), ("g", v, u))]
+    graph = CategoryGraph(
+        objects=tuple(ObjectDecl(n, "entity") for n in names)
+        + (ObjectDecl("a", "attribute"),),
+        arrows=tuple(arrows) + (Arrow("h", "E0", "a"),))
+    (rel,) = emit_relational(graph).relations
+    # E0's surrogate is referenced by no relation, so clean() drops it
+    assert rel.name == "E0" and rel.sort == names[1:] + ["a"]
+
+
+def test_relational_two_way_branches_keep_preorder():
+    """Columns follow a depth-first preorder through the two-way
+    neighbours: A's branch through B and C ends before its branch to D."""
+    graph = CategoryGraph(
+        objects=tuple(ObjectDecl(n, "entity") for n in "ABCDE")
+        + tuple(ObjectDecl(n, "attribute") for n in "wxyz"),
+        arrows=(Arrow("ab", "A", "B"), Arrow("ba", "B", "A"),
+                Arrow("bc", "B", "C"), Arrow("cb", "C", "B"),
+                Arrow("ad", "A", "D"), Arrow("da", "D", "A"),
+                Arrow("be", "B", "E"), Arrow("ax", "A", "x"),
+                Arrow("cy", "C", "y"), Arrow("dz", "D", "z"),
+                Arrow("ew", "E", "w")))
+    assert render_sql(emit_relational(graph)) == (
+        "CREATE TABLE A (\n"
+        "    B TEXT,\n"
+        "    C TEXT,\n"
+        "    y TEXT,\n"
+        "    E INTEGER,\n"
+        "    D TEXT,\n"
+        "    z TEXT,\n"
+        "    x TEXT,\n"
+        "    PRIMARY KEY (B, C, D, E, x, y, z),\n"
+        "    FOREIGN KEY (E) REFERENCES E (E)\n"
+        ");\n"
+        "CREATE TABLE E (\n"
+        "    E INTEGER,\n"
+        "    w TEXT,\n"
+        "    PRIMARY KEY (E)\n"
+        ");\n")
+
+
 def test_sql_rendering(rr5):
     sql = render_sql(emit_relational(rr5))
     assert "CREATE TABLE D" in sql

@@ -188,3 +188,21 @@ def test_report_serialization(fig5):
     report = [check_bcnf(r, cd) for r in emit_relational(graph).relations]
     doc = [r.to_json() for r in report]
     assert all(set(d) == {"subject", "verdict", "witnesses"} for d in doc)
+
+
+@pytest.mark.parametrize("lhs, verdict, reason", [
+    (("ε", "A", "B", "#P"), "satisfied", None),  # trivial
+    (("ε", "A", "@ID"), "satisfied", None),
+    (("ε", "A", "@B_ID"), "violated",
+     "reference attribute ε.A.@B_ID does not determine its element path"),
+    (("ε", "A", "B"), "satisfied", None),
+    (("ε", "A", "#P", "B"), "unknown", "unrecognized path form"),
+], ids=["trivial", "id", "reference-attribute", "element-path",
+        "unrecognized"])
+def test_xml_nf_verdict_per_lhs_form(lhs, verdict, reason):
+    from catnorm import DtdSchema
+    f = PathFD(frozenset([lhs]), ("ε", "A", "B", "#P"))
+    report = check_xml_nf(DtdSchema(), [f])
+    assert report.verdict == verdict
+    assert [w["reason"] for w in report.witnesses] == \
+        ([reason] if reason else [])
