@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import catnorm.cli
+from catnorm import SchemaError
 from catnorm.cli import main
 
 
@@ -355,8 +357,6 @@ def test_deterministic_output(capsys, data_dir, tmp_path):
 def test_internal_schema_error_exits_2(capsys, monkeypatch, data_dir):
     """A `SchemaError` past input checking is an internal failure: exit 2
     with one `catnorm: internal:` line and no traceback."""
-    import catnorm.cli
-    from catnorm import SchemaError
 
     def boom(graph, fds):
         raise SchemaError("boom")

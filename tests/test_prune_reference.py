@@ -39,9 +39,9 @@ from catnorm.fdclosure import (
 
 from genschema import (
     chain_schema,
-    contexts_schema,
     cluster_schema,
     composite_schema,
+    contexts_schema,
     random_fd_schema,
     random_mvd_schema,
 )
