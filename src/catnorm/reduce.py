@@ -100,14 +100,14 @@ def _prune_redundant_arrows(graph: CategoryGraph, fds) -> CategoryGraph:
 
 
 def _prune_to_fixpoint(graph: CategoryGraph, close_fn, fds) -> CategoryGraph:
-    """Alternate pruning with re-closure until a pass prunes no projection.
+    """Prune a graph closed under `close_fn`, closing again after each pass
+    that prunes a projection arrow; a pass that prunes none is final.
 
     A single greedy pass is order-sensitive: pruning a projection arrow
     strengthens its source's key dependency, and the closure of the pruned
     graph can then justify a different greedy outcome.  A pass that prunes
-    no projection leaves every key as it was and removes only arrows the
-    rest derives, so closing and pruning again would give the same graph:
-    that pass is final."""
+    no projection keeps every key and removes only arrows the rest derives,
+    so closing and pruning again would give the same graph."""
     for _ in range(64):
         pruned = _prune_redundant_arrows(graph, fds)
         if sum(a.is_projection for a in pruned.arrows) == \
@@ -265,9 +265,10 @@ def second_reduced(graph: CategoryGraph, fds,
     redundant-arrow pass."""
     trace = ReductionTrace()
     fds, mvds = tuple(fds), tuple(mvds)
-    closed = fd_mvd_closure_graph(graph, fds, mvds)
-    stripped = _remove_objects(closed, fds, mvds, trace)
+    close = lambda g: fd_mvd_closure_graph(g, fds, mvds)
+    stripped = _remove_objects(close(graph), fds, mvds, trace)
+    # re-close first: an eliminated object may have stood for a declared LHS
     reduced = _prune_to_fixpoint(
-        stripped, lambda g: fd_mvd_closure_graph(g, fds, mvds), fds)
+        close(_prune_redundant_arrows(stripped, fds)), close, fds)
     _record_removed(stripped, reduced, trace)
     return reduced, trace
