@@ -38,11 +38,7 @@ from .emit import (
     render_property_graph,
     render_sql,
 )
-from .fdclosure import (
-    AttributeClosureResult,
-    attribute_closure,
-    fd_closure_graph,
-)
+from .fdclosure import fd_closure_graph
 from .mvdclosure import (
     DependencyBasis,
     dependency_basis,
@@ -73,7 +69,7 @@ __all__ = [
     "FD", "MVD", "Arrow", "CategoryGraph", "DependencySet", "ObjectDecl",
     "SchemaError", "Violation", "composite_name", "fd", "graph_to_fds",
     "is_valid", "mvd", "parse_schema", "serialize_schema", "validate",
-    "AttributeClosureResult", "attribute_closure", "fd_closure_graph",
+    "fd_closure_graph",
     "DependencyBasis", "dependency_basis", "fd_mvd_closure_graph",
     "identify_mvd_objects", "mvd_membership",
     "ChaseLimitExceeded", "chase", "chase_implies",

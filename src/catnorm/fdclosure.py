@@ -1,4 +1,4 @@
-"""Attribute closure and the FD closure of a category graph.
+"""The FD closure of a category graph.
 
 The closure algorithm materializes composite left-hand sides of declared
 dependencies as relationship-like objects (with projection arrows to the
@@ -8,8 +8,6 @@ a declared LHS, and its RHS is an object of the graph.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import (
     FD,
@@ -21,21 +19,6 @@ from .core import (
     composite_name,
     graph_to_fds,
 )
-
-
-@dataclass(frozen=True)
-class AttributeClosureResult:
-    seed: frozenset[str]
-    closure: frozenset[str]
-
-
-def attribute_closure(seed, fds) -> AttributeClosureResult:
-    """Least fixpoint of `add rhs whenever lhs is contained`."""
-    seed = frozenset(seed)
-    if not seed:
-        raise SchemaError("attribute_closure: empty seed")
-    return AttributeClosureResult(
-        seed=seed, closure=frozenset(FDIndex(fds).closure(seed)))
 
 
 def _representative(graph: CategoryGraph, lhs: frozenset[str]) -> str | None:

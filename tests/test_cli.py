@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -352,6 +356,27 @@ def test_deterministic_output(capsys, data_dir, tmp_path):
             "--out-dir", str(out), str(data_dir / "fig6.json"))
     for name in ("fig6.sql", "fig6.dtd", "fig6.pg.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("level, checks, doc", [
+    ("1", "bcnf,improved-bcnf,xmlnf", "fig5.json"),
+    ("2", "4nf,xmlnf", "fig6.json"),
+    ("0", "bcnf,improved-bcnf,4nf,xmlnf", "fig6.json"),
+])
+def test_check_output_independent_of_hash_seed(data_dir, level, checks, doc):
+    """The checks iterate sets; their reports and exit codes must not
+    depend on the string hash seed."""
+    src = str(Path(catnorm.cli.__file__).parents[1])
+    argv = [sys.executable, "-m", "catnorm.cli", "check", "--level", level,
+            "--check", checks, "--stdout", str(data_dir / doc)]
+    procs = [subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src})
+        for seed in range(4)]
+    runs = {(p.communicate()[0], p.returncode) for p in procs}
+    assert len(runs) == 1
+    ((out, _),) = runs
+    assert json.loads(out)
 
 
 def test_internal_schema_error_exits_2(capsys, monkeypatch, data_dir):

@@ -7,7 +7,6 @@ from catnorm import (
     SchemaError,
     RelationDecl,
     RelationalSchema,
-    attribute_closure,
     check_4nf,
     check_bcnf,
     check_improved_bcnf,
@@ -22,6 +21,8 @@ from catnorm import (
     second_reduced,
 )
 from catnorm.nf import PathFD
+
+from closure import attribute_closure
 
 
 def rel(name, cols, key):
@@ -64,7 +65,7 @@ def test_bcnf_brute_force_agreement(fig5):
         expect = "satisfied"
         for k in range(1, len(sort_set) + 1):
             for x in map(frozenset, combinations(sorted(sort_set), k)):
-                closure = attribute_closure(x, fds).closure
+                closure = attribute_closure(x, fds)
                 if (closure & sort_set) - x and not sort_set <= closure:
                     expect = "violated"
         assert check_bcnf(r, cd).verdict == expect

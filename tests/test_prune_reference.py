@@ -35,12 +35,9 @@ from catnorm import (
     second_reduced,
 )
 from catnorm import reduce
-from catnorm.fdclosure import (
-    RedundancyIndex,
-    attribute_closure,
-    derivable_without,
-)
+from catnorm.fdclosure import RedundancyIndex, derivable_without
 
+from closure import attribute_closure
 from genschema import (
     chain_schema,
     cluster_schema,
@@ -56,7 +53,7 @@ def ref_derivable_without(graph, arrow, fds):
     deps = list(graph_to_fds(rest)) + [
         f for f in fds
         if not (f.lhs == frozenset({arrow.source}) and arrow.target in f.rhs)]
-    return arrow.target in attribute_closure({arrow.source}, deps).closure
+    return arrow.target in attribute_closure({arrow.source}, deps)
 
 
 def ref_key_prunable(graph, arrow, fds):
@@ -78,7 +75,7 @@ def ref_key_prunable(graph, arrow, fds):
         if o.name != arrow.source:
             deps.append(FD(pi, frozenset([o.name])))
     deps.extend(fds)
-    return arrow.target in attribute_closure(base, deps).closure
+    return arrow.target in attribute_closure(base, deps)
 
 
 def ref_pass(graph, fds):
