@@ -153,7 +153,7 @@ class DependencySet:
     mvds: tuple[MVD, ...] = ()
 
     # The FD parts below are built on first use and kept on this instance;
-    # `with_mvds` hands on those already built.
+    # `with_mvds` hands them on.
 
     def canonical_fds(self) -> tuple[FD, ...]:
         """Split every FD into singleton-rhs form, dropping duplicates."""
@@ -186,12 +186,29 @@ class DependencySet:
         return ids
 
     def with_mvds(self, mvds) -> "DependencySet":
-        """The same FDs with other MVDs; the FD parts built so far carry
-        over."""
+        """The same FDs with other MVDs, sharing the FD parts: the canonical
+        FDs by id and by RHS, built here first if need be, and the closure
+        index once built."""
         out = DependencySet(self.fds, tuple(mvds))
-        for part in ("_canonical", "fd_index", "_by_rhs"):
-            if part in self.__dict__:
-                out.__dict__[part] = self.__dict__[part]
+        for part in ("_canonical", "_by_rhs"):
+            out.__dict__[part] = getattr(self, part)
+        if "fd_index" in self.__dict__:
+            out.__dict__["fd_index"] = self.fd_index
+        return out
+
+    def canonical_ids_within(self, universe) -> list[int]:
+        """Ids of the canonical FDs lying inside `universe`, in order;
+        found through their right-hand sides."""
+        fds, by_rhs = self._canonical, self._by_rhs
+        return sorted(i for a in universe for i in by_rhs.get(a, ())
+                      if fds[i].lhs <= universe)
+
+    @cached_property
+    def _by_context(self) -> dict[str, list[MVD]]:
+        """Per context name, its MVDs in order."""
+        out: dict[str, list[MVD]] = {}
+        for m in self.mvds:
+            out.setdefault(m.context, []).append(m)
         return out
 
     @cached_property
@@ -211,13 +228,12 @@ class DependencySet:
         universe = frozenset(universe)
         found = self._relativized.get((universe, context))
         if found is None:
-            fds, by_rhs = self._canonical, self._by_rhs
-            ids = sorted(i for a in universe for i in by_rhs.get(a, ()))
+            mvds = self.mvds if context is None \
+                else self._by_context.get(context, ())
             found = DependencySet(
-                fds=tuple(fds[i] for i in ids if fds[i].lhs <= universe),
-                mvds=tuple(m for m in self.mvds
-                           if (context is None or m.context == context)
-                           and m.lhs | m.rhs <= universe))
+                fds=tuple(self._canonical[i]
+                          for i in self.canonical_ids_within(universe)),
+                mvds=tuple(m for m in mvds if m.lhs | m.rhs <= universe))
             self._relativized[(universe, context)] = found
         return found
 
@@ -280,6 +296,17 @@ class CategoryGraph:
     def has_incoming(self, name: str) -> bool:
         """Does some arrow end at `name`?"""
         return name in self._targets
+
+    @cached_property
+    def _out_arrows(self) -> dict[str, list[Arrow]]:
+        out: dict[str, list[Arrow]] = {}
+        for a in self.arrows:
+            out.setdefault(a.source, []).append(a)
+        return out
+
+    def out_arrows(self, name: str) -> list[Arrow]:
+        """The arrows leaving `name`, in order."""
+        return self._out_arrows.get(name, [])
 
     @cached_property
     def _projections(self) -> dict[str, frozenset[str]]:

@@ -74,6 +74,51 @@ def mvd_membership(deps: DependencySet, query: MVD, universe) -> bool:
     return basis.implies(query.rhs)
 
 
+def _fd_targets(deps: DependencySet, universe, context: str) -> frozenset[str]:
+    """The attributes some FD inside the context's universe determines."""
+    return frozenset(a for f in deps.relativized(universe, context).fds
+                     for a in f.rhs)
+
+
+def mixed_closure_of(deps: DependencySet,
+                     contexts: dict[str, frozenset[str]]):
+    """`mixed_closure` over fixed dependencies and contexts, for many seeds.
+
+    The per-context parts are built once: the FD-determined attributes of
+    each context, and the contexts holding each attribute.  A round visits
+    only the contexts the closure meets, in context order.  The closure is
+    the least set that holds the seed and is closed under both rules, and
+    both grow with the set, so the order in which contexts are visited
+    does not change it."""
+    derivable = {ctx: _fd_targets(deps, u, ctx) for ctx, u in contexts.items()}
+    order = {ctx: i for i, ctx in enumerate(contexts)}
+    holding: dict[str, list[str]] = {}
+    for ctx, universe in contexts.items():
+        for a in universe:
+            holding.setdefault(a, []).append(ctx)
+
+    def close(seed) -> frozenset[str]:
+        closure = deps.fd_index.closure(seed)
+        while True:
+            met = sorted({ctx for a in closure for ctx in holding.get(a, ())},
+                         key=order.__getitem__)
+            grown = False
+            for ctx in met:
+                universe = contexts[ctx]
+                basis = dependency_basis(universe.intersection(closure), deps,
+                                         universe, context=ctx)
+                for b in basis.blocks:
+                    if len(b) == 1:
+                        (a,) = b
+                        if a in derivable[ctx] and a not in closure:
+                            closure.add(a)
+                            grown = True
+            if not grown:
+                return frozenset(closure)
+            closure = deps.fd_index.closure(closure)
+    return close
+
+
 def mixed_closure(seed, deps: DependencySet,
                   contexts: dict[str, frozenset[str]]) -> frozenset[str]:
     """FD closure of a seed under FDs plus context-bound MVDs.
@@ -83,26 +128,7 @@ def mixed_closure(seed, deps: DependencySet,
     functionally determined attribute (the FD/MVD interaction rule).
     Iterates to mutual stability.
     """
-    derivable = {ctx: {a for f in deps.relativized(u).fds for a in f.rhs}
-                 for ctx, u in contexts.items()}
-    closure = deps.fd_index.closure(seed)
-    changed = True
-    while changed:
-        changed = False
-        for ctx, universe in contexts.items():
-            sub = frozenset(closure) & universe
-            if not sub:
-                continue
-            basis = dependency_basis(sub, deps, universe, context=ctx)
-            for b in basis.blocks:
-                if len(b) == 1:
-                    (a,) = b
-                    if a in derivable[ctx] and a not in closure:
-                        closure.add(a)
-                        changed = True
-        if changed:
-            closure = deps.fd_index.closure(closure)
-    return frozenset(closure)
+    return mixed_closure_of(deps, contexts)(seed)
 
 
 def split_mvd(graph: CategoryGraph, deps: DependencySet, m: MVD) -> MVD | None:
@@ -146,8 +172,7 @@ def fd_mvd_closure_graph(graph: CategoryGraph, fds, mvds,
                 if graph.has_object(m.context)}
     graph = add_inferred_arrows(
         graph, [d.lhs for d in d_fds + list(mvds)], fds,
-        lambda lhs: mixed_closure(lhs, deps, contexts), "fd-mvd-closure",
-        provenance)
+        mixed_closure_of(deps, contexts), "fd-mvd-closure", provenance)
     mvd_objs = identify_mvd_objects(graph, deps)
     if provenance is not None:
         for name in sorted(mvd_objs - graph.mvd_objects):

@@ -107,14 +107,13 @@ def check_improved_bcnf(schema: RelationalSchema,
     """No non-key attribute may be restorable from dependencies that do not
     involve its own relation: the key is closed on the shared index with
     the canonical FDs inside the relation left out."""
-    fds = deps.canonical_fds()
     report = NfReport(subject="schema", verdict="satisfied")
     for rel in schema.relations:
         sort_set = rel.sort_set()
         if not rel.candidate_keys:
             continue
         key = rel.candidate_keys[0]
-        inside = {i for i, f in enumerate(fds) if f.lhs | f.rhs <= sort_set}
+        inside = set(deps.canonical_ids_within(sort_set))
         closure = deps.fd_index.closure(key, skip=inside)
         for b in sorted(sort_set - key):
             if b in closure:

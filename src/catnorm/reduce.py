@@ -4,8 +4,10 @@ derivable-object elimination)."""
 from __future__ import annotations
 
 import re
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
 
 from .core import (
     MVD,
@@ -42,22 +44,31 @@ class ReductionTrace:
         return out
 
 
-def _derivation_path(successors: dict[str, list[str]], source: str,
-                     target: str) -> str:
-    """Shortest arrow path witnessing that source still reaches target;
-    `successors` lists each object's arrow targets in sorted order."""
-    frontier = deque([(source, [source])])
-    seen = {source}
+def _bfs_parents(successors: dict[str, list[str]],
+                 source: str) -> dict[str, str | None]:
+    """Breadth-first search from `source` over `successors`, which lists
+    each object's arrow targets in sorted order; each object reached maps
+    to the object it was first reached from."""
+    parents: dict[str, str | None] = {source: None}
+    frontier = deque([source])
     while frontier:
-        node, path = frontier.popleft()
+        node = frontier.popleft()
         for t in successors.get(node, ()):
-            if t in seen:
-                continue
-            if t == target:
-                return " -> ".join(path + [target])
-            seen.add(t)
-            frontier.append((t, path + [t]))
-    return "via relationship key dependencies"
+            if t not in parents:
+                parents[t] = node
+                frontier.append(t)
+    return parents
+
+
+def _derivation_path(parents: dict[str, str | None], target: str) -> str:
+    """Shortest arrow path, the first one found, by which a search's source
+    still reaches `target`."""
+    if target not in parents:
+        return "via relationship key dependencies"
+    path = [target]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return " -> ".join(reversed(path))
 
 
 def _removal_order(graph: CategoryGraph) -> list[Arrow]:
@@ -119,15 +130,20 @@ def _prune_to_fixpoint(graph: CategoryGraph, close_fn, fds) -> CategoryGraph:
 
 def _record_removed(baseline: CategoryGraph, final: CategoryGraph,
                     trace: ReductionTrace) -> None:
+    """Justify each arrow of `baseline` missing from `final` by a path of
+    kept arrows, with one search per source."""
     kept = final.arrow_pairs()
     successors: dict[str, list[str]] = {}
     for source, target in sorted(kept):
         successors.setdefault(source, []).append(target)
+    searched, parents = None, {}
     for arrow in sorted(baseline.arrows, key=lambda a: a.pair):
         if arrow.pair not in kept:
+            if arrow.source != searched:
+                searched = arrow.source
+                parents = _bfs_parents(successors, searched)
             trace.removed_arrows.append(
-                (arrow, _derivation_path(successors, arrow.source,
-                                         arrow.target)))
+                (arrow, _derivation_path(parents, arrow.target)))
 
 
 def first_reduced(graph: CategoryGraph, fds) -> tuple[CategoryGraph, ReductionTrace]:
@@ -141,41 +157,127 @@ def first_reduced(graph: CategoryGraph, fds) -> tuple[CategoryGraph, ReductionTr
     return reduced, trace
 
 
-def is_derivable(name: str, graph: CategoryGraph) -> bool:
-    """Derivable relationship object: a limit or MVD object with no incoming
-    arrow whose non-projection outgoing arrows all factor through a
-    projection."""
-    if not graph.has_object(name):
-        raise SchemaError(f"unknown object {name!r}")
-    decl = graph.object_map[name]
-    if not (decl.is_limit or name in graph.mvd_objects):
-        return False
-    if graph.has_incoming(name):
-        return False
-    pairs = graph.arrow_pairs()
-    projections = graph.projection_targets(name)
-    for a in graph.arrows:
-        if a.source != name or a.is_projection:
-            continue
-        if not any((y, a.target) in pairs for y in projections):
-            return False
-    return True
-
-
 _TRAILING_DIGITS = re.compile(r"\d+$")
 
 
-def _split_names(graph: CategoryGraph, name: str) -> tuple[str, str]:
-    """O splits into O1/O2; counters continue across nested decompositions."""
-    base = _TRAILING_DIGITS.sub("", name) or name
-    used = 0
-    for o in graph.objects:
-        if o.name.startswith(base):
-            m = _TRAILING_DIGITS.search(o.name)
-            if m and o.name == base + m.group():
-                used = max(used, int(m.group()))
-    first, second = used + 1, used + 2
-    return f"{base}{first}", f"{base}{second}"
+class _ObjectIndex:
+    """A graph's objects and arrows, indexed once for many derivability
+    tests and object splits, which update it in place; `graph()` builds
+    the `CategoryGraph`.
+
+    Objects and arrows sit in insertion-ordered dicts, so a removal keeps
+    the order of the rest and an addition appends, as
+    `CategoryGraph.without_object` and `with_object` do.  Only objects that
+    no arrow enters are removed, so a removal drops the object's
+    out-arrows alone.  The index answers the lookups of a graph that
+    `is_derivable`, `split_mvd` and `_recontextualize` make.
+    """
+
+    def __init__(self, graph: CategoryGraph):
+        self.object_map = {o.name: o for o in graph.objects}
+        self.mvd_objects = set(graph.mvd_objects)
+        self.arrows: dict[int, Arrow] = {}
+        self.out: dict[str, list[int]] = {}          # source -> arrow ids
+        self.indegree: dict[str, int] = {}
+        self.pairs: set[tuple[str, str]] = set()
+        self.projections: dict[str, set[str]] = {}
+        # base -> largest suffix n of an object named base + n
+        self.suffixes: dict[str, int] = {}
+        self._ids = count()
+        for a in graph.arrows:
+            self._add_arrow(a)
+        for name in self.object_map:
+            self._count_suffix(name)
+
+    def _add_arrow(self, a: Arrow) -> None:
+        i = next(self._ids)
+        self.arrows[i] = a
+        self.out.setdefault(a.source, []).append(i)
+        self.indegree[a.target] = self.indegree.get(a.target, 0) + 1
+        self.pairs.add(a.pair)
+        if a.is_projection:
+            self.projections.setdefault(a.source, set()).add(a.target)
+
+    def _count_suffix(self, name: str) -> None:
+        m = _TRAILING_DIGITS.search(name)
+        if m:
+            base = name[:m.start()]
+            self.suffixes[base] = max(self.suffixes.get(base, 0),
+                                      int(m.group()))
+
+    # -- the lookups of CategoryGraph ----------------------------------------
+
+    def has_object(self, name: str) -> bool:
+        return name in self.object_map
+
+    def has_incoming(self, name: str) -> bool:
+        return bool(self.indegree.get(name))
+
+    def has_arrow(self, source: str, target: str) -> bool:
+        return (source, target) in self.pairs
+
+    def out_arrows(self, name: str) -> list[Arrow]:
+        return [self.arrows[i] for i in self.out.get(name, ())]
+
+    def projection_targets(self, name: str) -> frozenset[str]:
+        return frozenset(self.projections.get(name, ()))
+
+    # -- updates ---------------------------------------------------------------
+
+    def remove(self, name: str) -> None:
+        """Drop an object that no arrow enters, with its out-arrows, which
+        are all the arrows on their pairs."""
+        for i in self.out.pop(name, ()):
+            a = self.arrows.pop(i)
+            self.indegree[a.target] -= 1
+            self.pairs.discard(a.pair)
+        self.projections.pop(name, None)
+        del self.object_map[name]
+        self.mvd_objects.discard(name)
+
+    def add(self, name: str, members) -> None:
+        """A new relationship object with projection arrows to `members`."""
+        if name in self.object_map:
+            raise SchemaError(f"duplicate object name(s): {[name]}")
+        self.object_map[name] = ObjectDecl(name=name, kind="relationship")
+        self._count_suffix(name)
+        for t in sorted(members):
+            self._add_arrow(Arrow(name=f"{name}__{t}", source=name, target=t,
+                                  is_projection=True))
+
+    def split(self, name: str, m: MVD) -> tuple[str, str]:
+        """Split a derivable MVD object O along X ->> Y into O1 = X u Y and
+        O2 = O - Y.  The counter goes on past the largest suffix on O's
+        base name.  That suffix never falls while objects are split: a
+        split removes one object and adds two with larger suffixes on the
+        same base."""
+        base = _TRAILING_DIGITS.sub("", name) or name
+        used = self.suffixes.get(base, 0)
+        names = (f"{base}{used + 1}", f"{base}{used + 2}")
+        pi = self.projection_targets(name)
+        self.remove(name)
+        self.add(names[0], m.lhs | m.rhs)
+        self.add(names[1], pi - m.rhs)
+        return names
+
+    def graph(self) -> CategoryGraph:
+        return CategoryGraph(objects=tuple(self.object_map.values()),
+                             arrows=tuple(self.arrows.values()),
+                             mvd_objects=frozenset(self.mvd_objects))
+
+
+def is_derivable(name: str, graph: CategoryGraph | _ObjectIndex) -> bool:
+    """Derivable relationship object: a limit or MVD object with no incoming
+    arrow whose non-projection outgoing arrows all factor through a
+    projection.  The test reads only the object's own arrows."""
+    if not graph.has_object(name):
+        raise SchemaError(f"unknown object {name!r}")
+    if not (graph.object_map[name].is_limit or name in graph.mvd_objects) \
+            or graph.has_incoming(name):
+        return False
+    projections = graph.projection_targets(name)
+    return all(any(graph.has_arrow(y, a.target) for y in projections)
+               for a in graph.out_arrows(name) if not a.is_projection)
 
 
 def decompose_mvd_object(graph: CategoryGraph, name: str,
@@ -183,20 +285,11 @@ def decompose_mvd_object(graph: CategoryGraph, name: str,
     """Split a derivable MVD object along X ->> Y into X u Y and O - Y."""
     if m.context != name:
         raise SchemaError(f"MVD context {m.context!r} does not match {name!r}")
-    if not is_derivable(name, graph):
+    index = _ObjectIndex(graph)
+    if not is_derivable(name, index):
         raise SchemaError(f"object {name!r} is not derivable")
-    pi = graph.projection_targets(name)
-    first_members = m.lhs | m.rhs
-    second_members = pi - m.rhs
-    n1, n2 = _split_names(graph, name)
-    graph = graph.without_object(name)
-    for new_name, members in ((n1, first_members), (n2, second_members)):
-        arrows = tuple(Arrow(name=f"{new_name}__{t}", source=new_name,
-                             target=t, is_projection=True)
-                       for t in sorted(members))
-        graph = graph.with_object(
-            ObjectDecl(name=new_name, kind="relationship"), arrows=arrows)
-    return graph, (n1, n2)
+    names = index.split(name, m)
+    return index.graph(), names
 
 
 def _recontextualize(mvds, old: str, graph: CategoryGraph,
@@ -219,44 +312,64 @@ def _remove_objects(graph: CategoryGraph, fds, mvds,
     """Split derivable MVD objects until none is left, then drop the
     derivable limit objects.
 
-    Each round marks the contexts that some declared MVD would split, and
-    splits the first derivable one, in (context, lhs, rhs) order of the
-    split MVDs.  The FDs are read off the graph once.  That is sound
-    because a split object has no incoming arrow (`is_derivable`), nor
-    have its fragments, so none of them is a projection target of any
-    context, and no FD relativized to a context's universe changes under a
-    split.  `_split_names` counts past the largest suffix, so no name comes
-    back within one elimination and the MVDs of a context that is not split
-    never change.  So each declared MVD's split is computed once, and a
-    split computes only those of the fragments' MVDs.
-    """
-    deps = DependencySet(fds=graph_to_fds(graph) + tuple(fds),
-                         mvds=tuple(mvds))
-    split_of: dict[MVD, MVD | None] = {}
-    while True:
-        for m in deps.mvds:
-            if m not in split_of:
-                split_of[m] = split_mvd(graph, deps, m)
-        splits = [split_of[m] for m in deps.mvds if split_of[m] is not None]
-        marked = frozenset(m.context for m in splits)
-        if marked != graph.mvd_objects:
-            graph = graph.with_mvd_objects(marked)
-        splits.sort(key=lambda m: (m.context, tuple(sorted(m.lhs)),
-                                   tuple(sorted(m.rhs))))
-        chosen = next((m for m in splits if is_derivable(m.context, graph)),
-                      None)
-        if chosen is None:
-            break
-        graph, names = decompose_mvd_object(graph, chosen.context, chosen)
-        trace.decomposed_objects.append((chosen.context, chosen, names))
-        deps = deps.with_mvds(
-            _recontextualize(deps.mvds, chosen.context, graph, names))
+    The marked MVD objects are the contexts that some MVD declared on them
+    would split.  Each step splits the first derivable one, in (context,
+    lhs, rhs) order of the split MVDs.  All of it runs on one
+    `_ObjectIndex`, and the graph is built once, at the end.
 
-    for o in list(graph.objects):
-        if o.is_limit and is_derivable(o.name, graph):
-            graph = graph.without_object(o.name)
-            trace.removed_limit_objects.append(o.name)
-    return graph
+    The FDs are read off the graph once, and a context's split MVDs are
+    computed once, from its own MVDs.  That is sound because a split object
+    has no incoming arrow (`is_derivable`), nor have its fragments, so none
+    of them is a projection target of any context, and no FD relativized to
+    a context's universe changes under a split.  Split names count past the
+    largest suffix, so no name comes back within one elimination, and only
+    the split object's MVDs move, into its fragments.
+
+    Only a fragment can become derivable.  A split removes the split
+    object's out-arrows alone, and each of their targets keeps an incoming
+    arrow: a projection target from the fragment that holds it, any other
+    target from the projection target its arrow factors through.  No
+    derivable object loses its mark or gains an incoming arrow either.
+    """
+    index = _ObjectIndex(graph)
+    fd_deps = DependencySet(fds=graph_to_fds(graph) + tuple(fds))
+    by_context: dict[str, list[MVD]] = {}
+    for m in mvds:
+        by_context.setdefault(m.context, []).append(m)
+    first: dict[str, MVD] = {}   # marked context -> its first split MVD
+
+    def mark(ctx: str) -> None:
+        """Mark the context when one of its MVDs splits it."""
+        deps = fd_deps.with_mvds(by_context[ctx])
+        splits = [s for s in (split_mvd(index, deps, m)
+                              for m in by_context[ctx]) if s is not None]
+        if splits:
+            first[ctx] = min(splits, key=lambda s: (tuple(sorted(s.lhs)),
+                                                    tuple(sorted(s.rhs))))
+            index.mvd_objects.add(ctx)
+
+    index.mvd_objects = set()
+    for ctx in by_context:
+        mark(ctx)
+    queue = sorted(ctx for ctx in first if is_derivable(ctx, index))
+    while queue:
+        name = queue.pop(0)
+        chosen = first.pop(name)
+        names = index.split(name, chosen)
+        trace.decomposed_objects.append((name, chosen, names))
+        for m in _recontextualize(by_context.pop(name), name, index, names):
+            by_context.setdefault(m.context, []).append(m)
+        for ctx in names:
+            if ctx in by_context:
+                mark(ctx)
+                if ctx in first and is_derivable(ctx, index):
+                    insort(queue, ctx)
+
+    for name in list(index.object_map):
+        if index.object_map[name].is_limit and is_derivable(name, index):
+            index.remove(name)
+            trace.removed_limit_objects.append(name)
+    return index.graph()
 
 
 def second_reduced(graph: CategoryGraph, fds,

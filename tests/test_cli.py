@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import catnorm.cli
-from catnorm import SchemaError
+from catnorm import SchemaError, second_reduced, serialize_schema
 from catnorm.cli import main
+from genschema import contexts_schema
 
 
 def run(capsys, *argv):
@@ -377,6 +379,28 @@ def test_check_output_independent_of_hash_seed(data_dir, level, checks, doc):
     assert len(runs) == 1
     ((out, _),) = runs
     assert json.loads(out)
+
+
+def test_second_reduced_independent_of_hash_seed(tmp_path):
+    """The 2RR iterates sets of marks and projections; its relational output
+    and trace must not depend on the string hash seed."""
+    graph, deps = contexts_schema(8, random.Random(0))
+    _, trace = second_reduced(graph, deps.fds, deps.mvds)
+    made = {n for _, _, names in trace.decomposed_objects for n in names}
+    assert any(obj in made for obj, _, _ in trace.decomposed_objects)
+    doc = tmp_path / "contexts.json"
+    doc.write_text(serialize_schema(graph, deps))
+    src = str(Path(catnorm.cli.__file__).parents[1])
+    argv = [sys.executable, "-m", "catnorm.cli", "reduce", "--level", "2",
+            "--trace", "--emit", "relational", "--stdout", str(doc)]
+    procs = [subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src})
+        for seed in range(4)]
+    runs = {(p.communicate()[0], p.returncode) for p in procs}
+    assert len(runs) == 1
+    ((out, code),) = runs
+    assert code == 0 and b"decomposed-object" in out
 
 
 def test_internal_schema_error_exits_2(capsys, monkeypatch, data_dir):

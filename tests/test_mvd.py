@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from catnorm import (
@@ -12,7 +14,9 @@ from catnorm import (
     mvd,
     mvd_membership,
 )
+from catnorm import mvdclosure
 from catnorm.mvdclosure import mixed_closure
+from genschema import contexts_schema
 
 
 def test_basis_complement():
@@ -92,3 +96,19 @@ def test_identify_mvd_objects_requires_nontrivial_split(fig6):
     # rhs together with lhs covers pi(X): trivial, so X is not an MVD object
     deps = DependencySet(mvds=(mvd("A", ["B", "C", "D"], "X"),))
     assert identify_mvd_objects(graph, deps) == frozenset()
+
+
+def test_closure_builds_each_context_part_once(monkeypatch):
+    """The FD-determined attributes of each context are found once per
+    closure, not once per seed."""
+    graph, deps = contexts_schema(16, random.Random(0))
+    built = []
+    fd_targets = mvdclosure._fd_targets
+
+    def counted(deps, universe, context):
+        built.append(context)
+        return fd_targets(deps, universe, context)
+
+    monkeypatch.setattr(mvdclosure, "_fd_targets", counted)
+    fd_mvd_closure_graph(graph, deps.fds, deps.mvds)
+    assert sorted(built) == sorted({m.context for m in deps.mvds})

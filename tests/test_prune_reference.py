@@ -17,6 +17,7 @@ their references.
 """
 
 import random
+from collections import deque
 
 import pytest
 
@@ -180,6 +181,50 @@ def test_non_thin_graph_is_rejected():
         first_reduced(graph, fds)
     with pytest.raises(SchemaError, match="not thin"):
         second_reduced(graph, fds, ())
+
+
+def ref_derivation_path(successors, source, target):
+    """The removal's justification as it was found: one breadth-first
+    search per removed arrow, carrying each path along."""
+    frontier = deque([(source, [source])])
+    seen = {source}
+    while frontier:
+        node, path = frontier.popleft()
+        for t in successors.get(node, ()):
+            if t in seen:
+                continue
+            if t == target:
+                return " -> ".join(path + [target])
+            seen.add(t)
+            frontier.append((t, path + [t]))
+    return "via relationship key dependencies"
+
+
+def ref_removed_arrows(baseline, final):
+    kept = final.arrow_pairs()
+    successors = {}
+    for source, target in sorted(kept):
+        successors.setdefault(source, []).append(target)
+    return [(arrow, ref_derivation_path(successors, arrow.source,
+                                        arrow.target))
+            for arrow in sorted(baseline.arrows, key=lambda a: a.pair)
+            if arrow.pair not in kept]
+
+
+def test_removal_paths_match_reference():
+    """One search per source justifies each removed arrow by the path the
+    per-arrow search found."""
+    lengths = []
+    for family in FAMILIES.values():
+        for name, closed, fds in family():
+            pruned = reduce._prune_redundant_arrows(closed, fds)
+            trace = reduce.ReductionTrace()
+            reduce._record_removed(closed, pruned, trace)
+            assert trace.removed_arrows == ref_removed_arrows(closed, pruned), \
+                name
+            lengths += [why.count(" -> ") for _, why in trace.removed_arrows]
+    # paths of several arrows, and removals no path justifies
+    assert max(lengths) >= 3 and lengths.count(0) > 0
 
 
 def ref_prune_to_fixpoint(graph, close_fn, fds):

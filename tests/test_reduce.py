@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from catnorm import (
@@ -13,7 +15,9 @@ from catnorm import (
     mvd,
     second_reduced,
 )
+from catnorm import reduce
 from equivalence import equivalent, is_redundant_arrow
+from genschema import contexts_schema
 
 
 def test_first_reduced_fig5(fig5):
@@ -165,3 +169,23 @@ def test_trace_serializes(fig6):
     events = trace.to_json()
     assert any(e["event"] == "decomposed-object" for e in events)
     assert any(e["event"] == "removed-arrow" for e in events)
+
+
+def test_remove_objects_builds_one_graph(monkeypatch):
+    """The elimination runs on one index and builds the graph once, however
+    many objects it splits."""
+    graph, deps = contexts_schema(16, random.Random(0))
+    closed = fd_mvd_closure_graph(graph, deps.fds, deps.mvds)
+    built = []
+    post_init = CategoryGraph.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CategoryGraph, "__post_init__", counted)
+    trace = reduce.ReductionTrace()
+    reduce._remove_objects(closed, deps.fds, deps.mvds, trace)
+    monkeypatch.undo()
+    assert len(trace.decomposed_objects) > 10
+    assert len(built) <= 1
