@@ -44,7 +44,12 @@ from .nf import (
     check_xml_nf,
     derive_xml_fds,
 )
-from .reduce import ReductionTrace, first_reduced, second_reduced
+from .reduce import (
+    ReductionTrace,
+    first_reduced,
+    redundant_arrow,
+    second_reduced,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -246,6 +251,11 @@ def run_pipeline(config: PipelineConfig) -> int:
             "relational", "bcnf", "improved-bcnf", "4nf"} else None
         dtd = emit_dtd(reduced) if wanted & {"dtd", "xmlnf"} else None
         if "relational" in config.targets:
+            redundant = None if config.level else redundant_arrow(reduced)
+            if redundant is not None:
+                schema.warnings.insert(0, (
+                    f"input graph is not reduced: arrow {redundant.source} "
+                    f"-> {redundant.target} is redundant"))
             for w in schema.warnings:
                 _err(f"warning: {w}")
             summary.append(f"relational: {len(schema.relations)} relations")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import count
 
 OBJECT_KINDS = ("entity", "relationship", "attribute")
 
@@ -238,6 +239,87 @@ class DependencySet:
         return found
 
 
+class GraphIndex:
+    """A graph's objects and arrows with the lookups made on them: per
+    source its out-arrows and projection targets, per object its in-degree,
+    and the arrow pairs.  It is built in one pass over the arrows.
+
+    Each `CategoryGraph` answers its lookups from one such index.  A copy,
+    `GraphIndex(graph)`, serves many lookups and updates in place, and
+    `graph()` builds the `CategoryGraph` once at the end.  Objects and
+    arrows sit in insertion-ordered dicts, so a removal keeps the order of
+    the rest and an addition appends.  A rule written against these
+    lookups takes a `CategoryGraph` as well, which answers them from its
+    own index.
+    """
+
+    def __init__(self, graph: CategoryGraph):
+        self.object_map = {o.name: o for o in graph.objects}
+        self.mvd_objects = set(graph.mvd_objects)
+        self.arrows: dict[int, Arrow] = {}
+        self.out: dict[str, list[int]] = {}          # source -> arrow ids
+        self.indegree: dict[str, int] = {}
+        self.pairs: set[tuple[str, str]] = set()
+        self._ids = count()
+        arrows, out, indegree = self.arrows, self.out, self.indegree
+        projections: dict[str, set[str]] = {}
+        for a, i in zip(graph.arrows, self._ids):
+            arrows[i] = a
+            out.setdefault(a.source, []).append(i)
+            indegree[a.target] = indegree.get(a.target, 0) + 1
+            self.pairs.add((a.source, a.target))
+            if a.is_projection:
+                projections.setdefault(a.source, set()).add(a.target)
+        self.projections = {name: frozenset(targets)
+                            for name, targets in projections.items()}
+
+    def has_object(self, name: str) -> bool:
+        return name in self.object_map
+
+    def has_incoming(self, name: str) -> bool:
+        return bool(self.indegree.get(name))
+
+    def has_arrow(self, source: str, target: str) -> bool:
+        return (source, target) in self.pairs
+
+    def out_arrows(self, name: str) -> list[Arrow]:
+        return [self.arrows[i] for i in self.out.get(name, ())]
+
+    def projection_targets(self, name: str) -> frozenset[str]:
+        return self.projections.get(name, frozenset())
+
+    def remove(self, name: str) -> None:
+        """Drop an object that no arrow enters, with its out-arrows, which
+        are all the arrows on their pairs."""
+        for i in self.out.pop(name, ()):
+            a = self.arrows.pop(i)
+            self.indegree[a.target] -= 1
+            self.pairs.discard(a.pair)
+        self.projections.pop(name, None)
+        del self.object_map[name]
+        self.mvd_objects.discard(name)
+
+    def add(self, name: str, members) -> None:
+        """A new relationship object with projection arrows to `members`."""
+        if name in self.object_map:
+            raise SchemaError(f"duplicate object name(s): {[name]}")
+        self.object_map[name] = ObjectDecl(name=name, kind="relationship")
+        ids = self.out[name] = []
+        for t in sorted(members):
+            i = next(self._ids)
+            self.arrows[i] = Arrow(name=f"{name}__{t}", source=name,
+                                   target=t, is_projection=True)
+            ids.append(i)
+            self.indegree[t] = self.indegree.get(t, 0) + 1
+            self.pairs.add((name, t))
+        self.projections[name] = frozenset(members)
+
+    def graph(self) -> CategoryGraph:
+        return CategoryGraph(objects=tuple(self.object_map.values()),
+                             arrows=tuple(self.arrows.values()),
+                             mvd_objects=frozenset(self.mvd_objects))
+
+
 @dataclass(frozen=True)
 class CategoryGraph:
     objects: tuple[ObjectDecl, ...] = ()
@@ -254,25 +336,38 @@ class CategoryGraph:
             raise SchemaError(f"duplicate object name(s): {sorted(dup)}")
 
     # -- lookups -----------------------------------------------------------
-    # The indexes are built on first use and kept: the graph is frozen, and
-    # every update makes a new one.  Callers must not mutate what they get.
+    # They answer from one index, built on first use and kept: the graph is
+    # frozen, and every update makes a new one.  Only `_out`, the targets in
+    # document order, is kept beside it.  Callers must not mutate what they
+    # get.
 
     @cached_property
+    def _index(self) -> GraphIndex:
+        return GraphIndex(self)
+
+    @property
     def object_map(self) -> dict[str, ObjectDecl]:
-        return {o.name: o for o in self.objects}
+        return self._index.object_map
 
     def has_object(self, name: str) -> bool:
-        return name in self.object_map
+        return name in self._index.object_map
 
-    def arrow_pairs(self) -> frozenset[tuple[str, str]]:
-        return self._pairs
-
-    @cached_property
-    def _pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset(a.pair for a in self.arrows)
+    def arrow_pairs(self) -> set[tuple[str, str]]:
+        return self._index.pairs
 
     def has_arrow(self, source: str, target: str) -> bool:
-        return (source, target) in self._pairs
+        return (source, target) in self._index.pairs
+
+    def has_incoming(self, name: str) -> bool:
+        """Does some arrow end at `name`?"""
+        return self._index.has_incoming(name)
+
+    def out_arrows(self, name: str) -> list[Arrow]:
+        """The arrows leaving `name`, in order."""
+        return self._index.out_arrows(name)
+
+    def projection_targets(self, name: str) -> frozenset[str]:
+        return self._index.projections.get(name, frozenset())
 
     @cached_property
     def _out(self) -> dict[str, list[str]]:
@@ -285,39 +380,9 @@ class CategoryGraph:
                              key=order.__getitem__)
                 for name, found in ends.items()}
 
-    @cached_property
-    def _targets(self) -> frozenset[str]:
-        return frozenset(a.target for a in self.arrows)
-
     def out_neighbours(self, name: str) -> list[str]:
         """Targets of outgoing arrows, in document order of the targets."""
         return list(self._out.get(name, ()))
-
-    def has_incoming(self, name: str) -> bool:
-        """Does some arrow end at `name`?"""
-        return name in self._targets
-
-    @cached_property
-    def _out_arrows(self) -> dict[str, list[Arrow]]:
-        out: dict[str, list[Arrow]] = {}
-        for a in self.arrows:
-            out.setdefault(a.source, []).append(a)
-        return out
-
-    def out_arrows(self, name: str) -> list[Arrow]:
-        """The arrows leaving `name`, in order."""
-        return self._out_arrows.get(name, [])
-
-    @cached_property
-    def _projections(self) -> dict[str, frozenset[str]]:
-        ends: dict[str, set[str]] = {}
-        for a in self.arrows:
-            if a.is_projection:
-                ends.setdefault(a.source, set()).add(a.target)
-        return {name: frozenset(found) for name, found in ends.items()}
-
-    def projection_targets(self, name: str) -> frozenset[str]:
-        return self._projections.get(name, frozenset())
 
     # -- functional updates --------------------------------------------------
 
@@ -338,15 +403,6 @@ class CategoryGraph:
     def with_object(self, obj: ObjectDecl, arrows: tuple[Arrow, ...] = ()) -> "CategoryGraph":
         return replace(self, objects=self.objects + (obj,),
                        arrows=self.arrows + arrows)
-
-    def without_object(self, name: str) -> "CategoryGraph":
-        """Drop an object together with every arrow touching it."""
-        return replace(
-            self,
-            objects=tuple(o for o in self.objects if o.name != name),
-            arrows=tuple(a for a in self.arrows if name not in a.pair),
-            mvd_objects=self.mvd_objects - {name},
-        )
 
     def with_mvd_objects(self, names) -> "CategoryGraph":
         return replace(self, mvd_objects=frozenset(names))

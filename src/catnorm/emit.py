@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 
 from .core import CategoryGraph, DependencySet, SchemaError, serialize_schema
-from .fdclosure import RedundancyIndex, derivable_without
 
 EPSILON = "ε"
 PCDATA = "#P"
@@ -44,17 +43,6 @@ def _is_referencing(o_kind: str) -> bool:
     return o_kind in ("entity", "relationship")
 
 
-def _unreduced_warning(graph: CategoryGraph) -> list[str]:
-    # a projection arrow defines its source's key: the reducer never tests
-    # one with derivable_without, so this check skips them too
-    index = RedundancyIndex(graph)
-    for a in graph.arrows:
-        if not a.is_projection and derivable_without(index, a):
-            return [f"input graph is not reduced: arrow "
-                    f"{a.source} -> {a.target} is redundant"]
-    return []
-
-
 def emit_relational(graph: CategoryGraph) -> RelationalSchema:
     """One relation per object with outgoing edges.
 
@@ -63,7 +51,7 @@ def emit_relational(graph: CategoryGraph) -> RelationalSchema:
     their labels, with foreign keys for entity/relationship targets.
     Clean() then drops unreferenced surrogates and subsumed relations.
     """
-    schema = RelationalSchema(warnings=_unreduced_warning(graph))
+    schema = RelationalSchema()
     objmap = graph.object_map
     processed: set[str] = set()
     bijective: dict[str, list[str]] = {}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MVD, CategoryGraph, DependencySet, SchemaError
+from .core import MVD, CategoryGraph, DependencySet, GraphIndex, SchemaError
 from .fdclosure import add_inferred_arrows, materialize_declared
 
 
@@ -82,7 +82,13 @@ def _fd_targets(deps: DependencySet, universe, context: str) -> frozenset[str]:
 
 def mixed_closure_of(deps: DependencySet,
                      contexts: dict[str, frozenset[str]]):
-    """`mixed_closure` over fixed dependencies and contexts, for many seeds.
+    """FD closure under FDs plus context-bound MVDs, over fixed dependencies
+    and contexts, for many seeds: `mixed_closure_of(deps, contexts)(seed)`.
+
+    Alternates the plain FD fixpoint with dependency-basis queries per
+    context: a singleton block that is the RHS of some in-context FD is a
+    functionally determined attribute (the FD/MVD interaction rule).
+    Iterates to mutual stability.
 
     The per-context parts are built once: the FD-determined attributes of
     each context, and the contexts holding each attribute.  A round visits
@@ -119,19 +125,7 @@ def mixed_closure_of(deps: DependencySet,
     return close
 
 
-def mixed_closure(seed, deps: DependencySet,
-                  contexts: dict[str, frozenset[str]]) -> frozenset[str]:
-    """FD closure of a seed under FDs plus context-bound MVDs.
-
-    Alternates the plain FD fixpoint with dependency-basis queries per
-    context: a singleton block that is the RHS of some in-context FD is a
-    functionally determined attribute (the FD/MVD interaction rule).
-    Iterates to mutual stability.
-    """
-    return mixed_closure_of(deps, contexts)(seed)
-
-
-def split_mvd(graph: CategoryGraph, deps: DependencySet, m: MVD) -> MVD | None:
+def split_mvd(graph: GraphIndex, deps: DependencySet, m: MVD) -> MVD | None:
     """The MVD that m's context splits on: m's LHS and the first block of
     its dependency basis over the context's projection targets.  None when
     the context is not in the graph, m does not lie within its projection

@@ -7,14 +7,13 @@ import re
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
 
 from .core import (
     MVD,
     Arrow,
     CategoryGraph,
     DependencySet,
-    ObjectDecl,
+    GraphIndex,
     SchemaError,
     graph_to_fds,
 )
@@ -146,6 +145,26 @@ def _record_removed(baseline: CategoryGraph, final: CategoryGraph,
                 (arrow, _derivation_path(parents, arrow.target)))
 
 
+def redundant_arrow(graph: CategoryGraph) -> Arrow | None:
+    """The first non-projection arrow that the rest of the graph derives, or
+    None: the graph is then reduced.  A projection arrow defines its
+    source's key, and the reducer never tests one with `derivable_without`,
+    so this test skips them too.
+
+    A 1RR or 2RR never has such an arrow.  The last prune pass of
+    `_prune_to_fixpoint` prunes no projection, so every key in its index is
+    the key of the output.  That pass kept an arrow only when the arrow was
+    not derivable from the arrows left at its turn, the keys and the
+    declared FDs.  Later removals only shrink that FD set, and this test
+    reads a subset of it, the output's arrows and keys.  So the test asks
+    again a question the reducer has already answered "no".
+    """
+    index = RedundancyIndex(graph)
+    return next((a for a in graph.arrows
+                 if not a.is_projection and derivable_without(index, a)),
+                None)
+
+
 def first_reduced(graph: CategoryGraph, fds) -> tuple[CategoryGraph, ReductionTrace]:
     """Closure under the FDs, then removal of every redundant arrow."""
     trace = ReductionTrace()
@@ -160,113 +179,36 @@ def first_reduced(graph: CategoryGraph, fds) -> tuple[CategoryGraph, ReductionTr
 _TRAILING_DIGITS = re.compile(r"\d+$")
 
 
-class _ObjectIndex:
-    """A graph's objects and arrows, indexed once for many derivability
-    tests and object splits, which update it in place; `graph()` builds
-    the `CategoryGraph`.
-
-    Objects and arrows sit in insertion-ordered dicts, so a removal keeps
-    the order of the rest and an addition appends, as
-    `CategoryGraph.without_object` and `with_object` do.  Only objects that
-    no arrow enters are removed, so a removal drops the object's
-    out-arrows alone.  The index answers the lookups of a graph that
-    `is_derivable`, `split_mvd` and `_recontextualize` make.
-    """
-
-    def __init__(self, graph: CategoryGraph):
-        self.object_map = {o.name: o for o in graph.objects}
-        self.mvd_objects = set(graph.mvd_objects)
-        self.arrows: dict[int, Arrow] = {}
-        self.out: dict[str, list[int]] = {}          # source -> arrow ids
-        self.indegree: dict[str, int] = {}
-        self.pairs: set[tuple[str, str]] = set()
-        self.projections: dict[str, set[str]] = {}
-        # base -> largest suffix n of an object named base + n
-        self.suffixes: dict[str, int] = {}
-        self._ids = count()
-        for a in graph.arrows:
-            self._add_arrow(a)
-        for name in self.object_map:
-            self._count_suffix(name)
-
-    def _add_arrow(self, a: Arrow) -> None:
-        i = next(self._ids)
-        self.arrows[i] = a
-        self.out.setdefault(a.source, []).append(i)
-        self.indegree[a.target] = self.indegree.get(a.target, 0) + 1
-        self.pairs.add(a.pair)
-        if a.is_projection:
-            self.projections.setdefault(a.source, set()).add(a.target)
-
-    def _count_suffix(self, name: str) -> None:
+def _suffixes(names) -> dict[str, int]:
+    """Per base name, the largest suffix n of a name base + n."""
+    out: dict[str, int] = {}
+    for name in names:
         m = _TRAILING_DIGITS.search(name)
         if m:
             base = name[:m.start()]
-            self.suffixes[base] = max(self.suffixes.get(base, 0),
-                                      int(m.group()))
-
-    # -- the lookups of CategoryGraph ----------------------------------------
-
-    def has_object(self, name: str) -> bool:
-        return name in self.object_map
-
-    def has_incoming(self, name: str) -> bool:
-        return bool(self.indegree.get(name))
-
-    def has_arrow(self, source: str, target: str) -> bool:
-        return (source, target) in self.pairs
-
-    def out_arrows(self, name: str) -> list[Arrow]:
-        return [self.arrows[i] for i in self.out.get(name, ())]
-
-    def projection_targets(self, name: str) -> frozenset[str]:
-        return frozenset(self.projections.get(name, ()))
-
-    # -- updates ---------------------------------------------------------------
-
-    def remove(self, name: str) -> None:
-        """Drop an object that no arrow enters, with its out-arrows, which
-        are all the arrows on their pairs."""
-        for i in self.out.pop(name, ()):
-            a = self.arrows.pop(i)
-            self.indegree[a.target] -= 1
-            self.pairs.discard(a.pair)
-        self.projections.pop(name, None)
-        del self.object_map[name]
-        self.mvd_objects.discard(name)
-
-    def add(self, name: str, members) -> None:
-        """A new relationship object with projection arrows to `members`."""
-        if name in self.object_map:
-            raise SchemaError(f"duplicate object name(s): {[name]}")
-        self.object_map[name] = ObjectDecl(name=name, kind="relationship")
-        self._count_suffix(name)
-        for t in sorted(members):
-            self._add_arrow(Arrow(name=f"{name}__{t}", source=name, target=t,
-                                  is_projection=True))
-
-    def split(self, name: str, m: MVD) -> tuple[str, str]:
-        """Split a derivable MVD object O along X ->> Y into O1 = X u Y and
-        O2 = O - Y.  The counter goes on past the largest suffix on O's
-        base name.  That suffix never falls while objects are split: a
-        split removes one object and adds two with larger suffixes on the
-        same base."""
-        base = _TRAILING_DIGITS.sub("", name) or name
-        used = self.suffixes.get(base, 0)
-        names = (f"{base}{used + 1}", f"{base}{used + 2}")
-        pi = self.projection_targets(name)
-        self.remove(name)
-        self.add(names[0], m.lhs | m.rhs)
-        self.add(names[1], pi - m.rhs)
-        return names
-
-    def graph(self) -> CategoryGraph:
-        return CategoryGraph(objects=tuple(self.object_map.values()),
-                             arrows=tuple(self.arrows.values()),
-                             mvd_objects=frozenset(self.mvd_objects))
+            out[base] = max(out.get(base, 0), int(m.group()))
+    return out
 
 
-def is_derivable(name: str, graph: CategoryGraph | _ObjectIndex) -> bool:
+def _split(index: GraphIndex, suffixes: dict[str, int], name: str,
+           m: MVD) -> tuple[str, str]:
+    """Split a derivable MVD object O along X ->> Y into O1 = X u Y and
+    O2 = O - Y, in place.  The names count on past the largest suffix on
+    O's base name (`suffixes`, which the split updates).  That suffix never
+    falls while objects are split: a split removes one object and adds two
+    with larger suffixes on the same base."""
+    base = _TRAILING_DIGITS.sub("", name) or name
+    used = suffixes.get(base, 0)
+    names = (f"{base}{used + 1}", f"{base}{used + 2}")
+    suffixes[base] = used + 2
+    pi = index.projection_targets(name)
+    index.remove(name)
+    index.add(names[0], m.lhs | m.rhs)
+    index.add(names[1], pi - m.rhs)
+    return names
+
+
+def is_derivable(name: str, graph: GraphIndex) -> bool:
     """Derivable relationship object: a limit or MVD object with no incoming
     arrow whose non-projection outgoing arrows all factor through a
     projection.  The test reads only the object's own arrows."""
@@ -285,14 +227,14 @@ def decompose_mvd_object(graph: CategoryGraph, name: str,
     """Split a derivable MVD object along X ->> Y into X u Y and O - Y."""
     if m.context != name:
         raise SchemaError(f"MVD context {m.context!r} does not match {name!r}")
-    index = _ObjectIndex(graph)
+    index = GraphIndex(graph)
     if not is_derivable(name, index):
         raise SchemaError(f"object {name!r} is not derivable")
-    names = index.split(name, m)
+    names = _split(index, _suffixes(index.object_map), name, m)
     return index.graph(), names
 
 
-def _recontextualize(mvds, old: str, graph: CategoryGraph,
+def _recontextualize(mvds, old: str, graph: GraphIndex,
                      names: tuple[str, str]) -> tuple[MVD, ...]:
     """Re-home MVDs after a split: an MVD lands in every fragment containing
     its attributes; those straddling the split are satisfied and dropped."""
@@ -315,7 +257,7 @@ def _remove_objects(graph: CategoryGraph, fds, mvds,
     The marked MVD objects are the contexts that some MVD declared on them
     would split.  Each step splits the first derivable one, in (context,
     lhs, rhs) order of the split MVDs.  All of it runs on one
-    `_ObjectIndex`, and the graph is built once, at the end.
+    `GraphIndex`, and the graph is built once, at the end.
 
     The FDs are read off the graph once, and a context's split MVDs are
     computed once, from its own MVDs.  That is sound because a split object
@@ -331,7 +273,8 @@ def _remove_objects(graph: CategoryGraph, fds, mvds,
     target from the projection target its arrow factors through.  No
     derivable object loses its mark or gains an incoming arrow either.
     """
-    index = _ObjectIndex(graph)
+    index = GraphIndex(graph)
+    suffixes = _suffixes(index.object_map)
     fd_deps = DependencySet(fds=graph_to_fds(graph) + tuple(fds))
     by_context: dict[str, list[MVD]] = {}
     for m in mvds:
@@ -355,7 +298,7 @@ def _remove_objects(graph: CategoryGraph, fds, mvds,
     while queue:
         name = queue.pop(0)
         chosen = first.pop(name)
-        names = index.split(name, chosen)
+        names = _split(index, suffixes, name, chosen)
         trace.decomposed_objects.append((name, chosen, names))
         for m in _recontextualize(by_context.pop(name), name, index, names):
             by_context.setdefault(m.context, []).append(m)

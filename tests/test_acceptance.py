@@ -28,6 +28,7 @@ from catnorm import (
     graph_to_fds,
     second_reduced,
 )
+from catnorm.reduce import redundant_arrow
 from equivalence import equivalent
 from genschema import (
     cluster_schema,
@@ -143,19 +144,15 @@ def test_criterion_04_property_graph_goldens(fig5, fig6):
 
 # -- criterion 5: BCNF property suite ----------------------------------------
 
-def unreduced(schema) -> bool:
-    return any("not reduced" in w for w in schema.warnings)
-
-
 def test_criterion_05_bcnf_suite():
     start = time.perf_counter()
     violations, flagged = [], []
     for i, (graph, deps) in enumerate(fd_suite()):
         reduced, _ = first_reduced(graph, deps.fds)
         cd = combined(reduced, deps)
-        schema = emit_relational(reduced)
-        if unreduced(schema):
+        if redundant_arrow(reduced) is not None:
             flagged.append(i)
+        schema = emit_relational(reduced)
         for rel in schema.relations:
             report = check_bcnf(rel, cd)
             if report.verdict != "satisfied":
@@ -174,9 +171,9 @@ def test_criterion_06_4nf_suite():
         graph, deps = random_mvd_schema(random.Random(seed))
         reduced, _ = second_reduced(graph, deps.fds, deps.mvds)
         cd = combined(reduced, deps)
-        schema = emit_relational(reduced)
-        if unreduced(schema):
+        if redundant_arrow(reduced) is not None:
             flagged.append(seed)
+        schema = emit_relational(reduced)
         for rel in schema.relations:
             report = check_4nf(rel, cd)
             if report.verdict != "satisfied":

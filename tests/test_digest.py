@@ -4,7 +4,9 @@ Each digest is the sha256 of one output over a fixed range of generated
 schemas: the serialized closures (with provenance), the reduced schemas
 with their reduction traces, the SQL, DTD and property graph rendered
 from the reduced schemas, and the JSON of their BCNF, improved-BCNF, 4NF
-and XML-NF reports.  They must not change under refactoring.  Each
+and XML-NF reports.  One more digest pins what `catnorm emit --emit
+relational` prints for unreduced schemas, its warnings included.  They
+must not change under refactoring.  Each
 artifact has its own digest, so an emitter fix moves only the digests of
 what it renders and checks.
 """
@@ -35,6 +37,7 @@ from catnorm import (
     second_reduced,
     serialize_schema,
 )
+from catnorm.cli import main
 from genschema import random_fd_schema, random_mvd_schema
 
 N_SEEDS = 300
@@ -152,3 +155,27 @@ def digest(name: str) -> str:
 
 def test_closure_and_reduction_digests():
     assert {name: digest(name) for name in CASES} == EXPECTED
+
+
+EMIT_SEEDS = 100
+EMIT_EXPECTED = \
+    "65da8cafcd02f8d4ee0c17f432649b27a52ed28be85334df4912101066977848"
+UNREDUCED = "catnorm: warning: input graph is not reduced"
+
+
+def test_level0_relational_emit_digest(capsys, tmp_path):
+    """stdout and stderr of `catnorm emit <doc> --emit relational --stdout`,
+    which emits the unreduced graph, over the FD and the MVD schemas."""
+    h, warned = hashlib.sha256(), 0
+    doc = tmp_path / "doc.json"
+    for generate in (random_fd_schema, random_mvd_schema):
+        for seed in range(EMIT_SEEDS):
+            graph, deps = generate(random.Random(seed))
+            doc.write_text(serialize_schema(graph, deps), encoding="utf-8")
+            code = main(["emit", str(doc), "--emit", "relational",
+                         "--stdout"])
+            out, err = capsys.readouterr()
+            h.update(f"#{seed} {code}\n{out}{err}".encode())
+            warned += UNREDUCED in err
+    assert warned > 0
+    assert h.hexdigest() == EMIT_EXPECTED

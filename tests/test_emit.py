@@ -21,6 +21,8 @@ from catnorm import (
     second_reduced,
 )
 from catnorm import emit
+from catnorm.core import FDIndex
+from catnorm.reduce import redundant_arrow
 from genschema import random_fd_schema
 
 
@@ -76,10 +78,27 @@ def test_relational_isolated_object_emits_nothing():
 
 
 def test_relational_unreduced_warning(fig5):
+    # the rule behind the CLI's warning on an unreduced graph
     graph, deps = fig5
     from catnorm import fd_closure_graph
-    schema = emit_relational(fd_closure_graph(graph, deps.fds))
-    assert schema.warnings and "not reduced" in schema.warnings[0]
+    assert redundant_arrow(fd_closure_graph(graph, deps.fds)) is not None
+
+
+def test_relational_runs_no_closure_on_reduced_graphs(monkeypatch, rr5,
+                                                      fig6):
+    graph, deps = fig6
+    rr6 = second_reduced(graph, deps.fds, deps.mvds)[0]
+    calls = []
+    closure = FDIndex.closure
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return closure(self, *args, **kwargs)
+
+    monkeypatch.setattr(FDIndex, "closure", counted)
+    emit_relational(rr5)
+    emit_relational(rr6)
+    assert calls == []
 
 
 @pytest.mark.parametrize("sign", [1, -1])

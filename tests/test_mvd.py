@@ -15,7 +15,7 @@ from catnorm import (
     mvd_membership,
 )
 from catnorm import mvdclosure
-from catnorm.mvdclosure import mixed_closure
+from catnorm.mvdclosure import mixed_closure_of
 from genschema import contexts_schema
 
 
@@ -61,7 +61,7 @@ def test_mixed_closure_fd_mvd_rule(fig6):
     graph, deps = fig6
     all_deps = DependencySet(fds=graph_to_fds(graph), mvds=deps.mvds)
     contexts = {"X": graph.projection_targets("X")}
-    closure = mixed_closure({"A"}, all_deps, contexts)
+    closure = mixed_closure_of(all_deps, contexts)({"A"})
     assert "C" in closure  # A ->> B and B -> C give A -> C
     assert "B" not in closure and "D" not in closure
 

@@ -3,13 +3,18 @@ rescan-per-split rule.
 
 The reference rebuilds the dependency set from the whole graph after every
 split and recomputes the dependency basis of every declared MVD, then
-filters the derivable candidates and sorts them.  The library must remove
-the same objects in the same order: equal objects and arrows (in order),
-equal MVD-object marks and an equal trace.  Beyond the random schemas the
-inputs cover contexts schemas of up to 64 contexts and a corner family.
+filters the derivable candidates and sorts them.  It keeps its own copies
+of the derivability test, the split and the split names, which read only
+`graph.objects` and `graph.arrows`, so it shares no graph index with the
+library.  The library must remove the same objects in the same order:
+equal objects and arrows (in order), equal MVD-object marks and an equal
+trace.  Beyond the random schemas the inputs cover contexts schemas of up
+to 64 contexts and a corner family.
 """
 
 import random
+import re
+from dataclasses import replace
 
 from catnorm import (
     FD,
@@ -18,33 +23,130 @@ from catnorm import (
     CategoryGraph,
     DependencySet,
     ObjectDecl,
-    decompose_mvd_object,
     dependency_basis,
     fd_mvd_closure_graph,
-    graph_to_fds,
-    identify_mvd_objects,
 )
 from catnorm import reduce
-from catnorm.reduce import ReductionTrace, _recontextualize, is_derivable
+from catnorm.reduce import ReductionTrace
 
 from genschema import contexts_schema, random_mvd_schema
 
 
-def ref_candidates(graph, fds, mvds):
-    deps = DependencySet(fds=tuple(graph_to_fds(graph)) + tuple(fds),
-                         mvds=tuple(mvds))
-    marked = identify_mvd_objects(graph, deps)
-    graph = graph.with_mvd_objects(marked)
-    candidates = []
+def ref_lookups(graph):
+    """Per relationship name its projection targets, the arrow pairs and
+    the arrow targets, in one pass over the arrows."""
+    projections, pairs, targets = {}, set(), set()
+    for a in graph.arrows:
+        pairs.add((a.source, a.target))
+        targets.add(a.target)
+        if a.is_projection:
+            projections[a.source] = \
+                projections.get(a.source, frozenset()) | {a.target}
+    return projections, pairs, targets
+
+
+def ref_projections(graph, name):
+    return frozenset(a.target for a in graph.arrows
+                     if a.source == name and a.is_projection)
+
+
+def ref_graph_fds(graph, projections):
+    """One FD per arrow, and both key FDs of every relationship object."""
+    out = [FD(frozenset([a.source]), frozenset([a.target]))
+           for a in graph.arrows]
+    for o in graph.objects:
+        pi = projections.get(o.name)
+        if o.kind == "relationship" and pi:
+            out += [FD(frozenset([o.name]), pi), FD(pi, frozenset([o.name]))]
+    return tuple(out)
+
+
+def ref_is_derivable(name, graph, lookups=None):
+    projections, pairs, targets = lookups or ref_lookups(graph)
+    decl = next(o for o in graph.objects if o.name == name)
+    if not (decl.is_limit or name in graph.mvd_objects) or name in targets:
+        return False
+    pi = projections.get(name, frozenset())
+    return all(any((y, a.target) in pairs for y in pi)
+               for a in graph.arrows
+               if a.source == name and not a.is_projection)
+
+
+_TRAILING_DIGITS = re.compile(r"\d+$")
+
+
+def ref_split_names(graph, name):
+    """O splits into O1/O2; counters continue across nested decompositions."""
+    base = _TRAILING_DIGITS.sub("", name) or name
+    used = 0
+    for o in graph.objects:
+        if o.name.startswith(base):
+            m = _TRAILING_DIGITS.search(o.name)
+            if m and o.name == base + m.group():
+                used = max(used, int(m.group()))
+    return f"{base}{used + 1}", f"{base}{used + 2}"
+
+
+def ref_without_object(graph, name):
+    return replace(graph,
+                   objects=tuple(o for o in graph.objects if o.name != name),
+                   arrows=tuple(a for a in graph.arrows
+                                if name not in a.pair),
+                   mvd_objects=graph.mvd_objects - {name})
+
+
+def ref_decompose(graph, m):
+    """Split the derivable MVD object m.context along m, one graph per
+    step."""
+    name = m.context
+    assert ref_is_derivable(name, graph)
+    pi = ref_projections(graph, name)
+    names = ref_split_names(graph, name)
+    graph = ref_without_object(graph, name)
+    for new_name, members in zip(names, (m.lhs | m.rhs, pi - m.rhs)):
+        arrows = tuple(Arrow(name=f"{new_name}__{t}", source=new_name,
+                             target=t, is_projection=True)
+                       for t in sorted(members))
+        graph = replace(graph,
+                        objects=graph.objects + (
+                            ObjectDecl(name=new_name, kind="relationship"),),
+                        arrows=graph.arrows + arrows)
+    return graph, names
+
+
+def ref_recontextualize(mvds, old, graph, names):
+    out = []
     for m in mvds:
-        if m.context not in marked or not is_derivable(m.context, graph):
+        if m.context != old:
+            out.append(m)
             continue
-        universe = graph.projection_targets(m.context)
+        for new_name in names:
+            if m.lhs | m.rhs <= ref_projections(graph, new_name):
+                out.append(MVD(m.lhs, m.rhs, new_name))
+    return tuple(out)
+
+
+def ref_candidates(graph, fds, mvds):
+    lookups = ref_lookups(graph)
+    projections = lookups[0]
+    deps = DependencySet(fds=ref_graph_fds(graph, projections) + tuple(fds),
+                         mvds=tuple(mvds))
+    names = {o.name for o in graph.objects}
+    splits = []
+    for m in mvds:
+        universe = projections.get(m.context, frozenset())
+        if m.context not in names or not m.lhs | m.rhs <= universe:
+            continue
         basis = dependency_basis(m.lhs, deps, universe, context=m.context)
-        if len(basis.blocks) < 2:
-            continue
-        block = min(basis.blocks, key=lambda b: tuple(sorted(b)))
-        candidates.append(MVD(m.lhs, block, m.context))
+        if len(basis.blocks) >= 2:
+            splits.append((m, basis))
+    graph = replace(graph, mvd_objects=frozenset(m.context
+                                                 for m, _ in splits))
+    candidates = []
+    for m, basis in splits:
+        if ref_is_derivable(m.context, graph, lookups):
+            block = min(basis.blocks, key=lambda b: tuple(sorted(b)))
+            candidates.append(MVD(m.lhs, block, m.context))
     candidates.sort(key=lambda c: (c.context, tuple(sorted(c.lhs)),
                                    tuple(sorted(c.rhs))))
     return graph, candidates
@@ -60,15 +162,17 @@ def ref_remove_objects(graph, fds, mvds, trace, on_split=None):
             break
         chosen = candidates[0]
         before = graph
-        graph, names = decompose_mvd_object(graph, chosen.context, chosen)
+        graph, names = ref_decompose(graph, chosen)
         trace.decomposed_objects.append((chosen.context, chosen, names))
-        mvds = _recontextualize(mvds, chosen.context, graph, names)
+        mvds = ref_recontextualize(mvds, chosen.context, graph, names)
         if on_split is not None:
             on_split(before, graph, mvds)
 
+    lookups = ref_lookups(graph)
     for o in list(graph.objects):
-        if o.is_limit and is_derivable(o.name, graph):
-            graph = graph.without_object(o.name)
+        if o.is_limit and ref_is_derivable(o.name, graph, lookups):
+            graph = ref_without_object(graph, o.name)
+            lookups = ref_lookups(graph)
             trace.removed_limit_objects.append(o.name)
     return graph
 
