@@ -38,10 +38,10 @@ from .emit import (
     render_property_graph,
     render_sql,
 )
-from .fdclosure import fd_closure_graph
 from .mvdclosure import (
     DependencyBasis,
     dependency_basis,
+    fd_closure_graph,
     fd_mvd_closure_graph,
     identify_mvd_objects,
     mvd_membership,

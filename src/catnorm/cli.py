@@ -34,8 +34,7 @@ from .emit import (
     render_property_graph,
     render_sql,
 )
-from .fdclosure import fd_closure_graph
-from .mvdclosure import fd_mvd_closure_graph
+from .mvdclosure import fd_closure_graph, fd_mvd_closure_graph
 from .nf import (
     NfReport,
     check_4nf,

@@ -154,7 +154,7 @@ class DependencySet:
     mvds: tuple[MVD, ...] = ()
 
     # The FD parts below are built on first use and kept on this instance;
-    # `with_mvds` hands them on.
+    # `with_mvds` hands the canonical ones on.
 
     def canonical_fds(self) -> tuple[FD, ...]:
         """Split every FD into singleton-rhs form, dropping duplicates."""
@@ -187,14 +187,11 @@ class DependencySet:
         return ids
 
     def with_mvds(self, mvds) -> "DependencySet":
-        """The same FDs with other MVDs, sharing the FD parts: the canonical
-        FDs by id and by RHS, built here first if need be, and the closure
-        index once built."""
+        """The same FDs with other MVDs, sharing the canonical FDs by id and
+        by RHS, built here first if need be."""
         out = DependencySet(self.fds, tuple(mvds))
         for part in ("_canonical", "_by_rhs"):
             out.__dict__[part] = getattr(self, part)
-        if "fd_index" in self.__dict__:
-            out.__dict__["fd_index"] = self.fd_index
         return out
 
     def canonical_ids_within(self, universe) -> list[int]:
@@ -256,12 +253,12 @@ class GraphIndex:
     def __init__(self, graph: CategoryGraph):
         self.object_map = {o.name: o for o in graph.objects}
         self.mvd_objects = set(graph.mvd_objects)
-        self.arrows: dict[int, Arrow] = {}
+        self._arrows: dict[int, Arrow] = {}
         self.out: dict[str, list[int]] = {}          # source -> arrow ids
         self.indegree: dict[str, int] = {}
         self.pairs: set[tuple[str, str]] = set()
         self._ids = count()
-        arrows, out, indegree = self.arrows, self.out, self.indegree
+        arrows, out, indegree = self._arrows, self.out, self.indegree
         projections: dict[str, set[str]] = {}
         for a, i in zip(graph.arrows, self._ids):
             arrows[i] = a
@@ -273,6 +270,10 @@ class GraphIndex:
         self.projections = {name: frozenset(targets)
                             for name, targets in projections.items()}
 
+    @property
+    def arrows(self):                                # in order, as a view
+        return self._arrows.values()
+
     def has_object(self, name: str) -> bool:
         return name in self.object_map
 
@@ -283,7 +284,7 @@ class GraphIndex:
         return (source, target) in self.pairs
 
     def out_arrows(self, name: str) -> list[Arrow]:
-        return [self.arrows[i] for i in self.out.get(name, ())]
+        return [self._arrows[i] for i in self.out.get(name, ())]
 
     def projection_targets(self, name: str) -> frozenset[str]:
         return self.projections.get(name, frozenset())
@@ -292,7 +293,7 @@ class GraphIndex:
         """Drop an object that no arrow enters, with its out-arrows, which
         are all the arrows on their pairs."""
         for i in self.out.pop(name, ()):
-            a = self.arrows.pop(i)
+            a = self._arrows.pop(i)
             self.indegree[a.target] -= 1
             self.pairs.discard(a.pair)
         self.projections.pop(name, None)
@@ -304,19 +305,22 @@ class GraphIndex:
         if name in self.object_map:
             raise SchemaError(f"duplicate object name(s): {[name]}")
         self.object_map[name] = ObjectDecl(name=name, kind="relationship")
-        ids = self.out[name] = []
         for t in sorted(members):
-            i = next(self._ids)
-            self.arrows[i] = Arrow(name=f"{name}__{t}", source=name,
-                                   target=t, is_projection=True)
-            ids.append(i)
-            self.indegree[t] = self.indegree.get(t, 0) + 1
-            self.pairs.add((name, t))
+            self.add_arrow(Arrow(name=f"{name}__{t}", source=name, target=t,
+                                 is_projection=True))
         self.projections[name] = frozenset(members)
+
+    def add_arrow(self, arrow: Arrow) -> None:
+        """Append an arrow; projection arrows come only with `add`."""
+        i = next(self._ids)
+        self._arrows[i] = arrow
+        self.out.setdefault(arrow.source, []).append(i)
+        self.indegree[arrow.target] = self.indegree.get(arrow.target, 0) + 1
+        self.pairs.add(arrow.pair)
 
     def graph(self) -> CategoryGraph:
         return CategoryGraph(objects=tuple(self.object_map.values()),
-                             arrows=tuple(self.arrows.values()),
+                             arrows=tuple(self.arrows),
                              mvd_objects=frozenset(self.mvd_objects))
 
 
@@ -399,13 +403,6 @@ class CategoryGraph:
         """Drop every arrow equal to one of `arrows`."""
         return replace(self, arrows=tuple(a for a in self.arrows
                                           if a not in arrows))
-
-    def with_object(self, obj: ObjectDecl, arrows: tuple[Arrow, ...] = ()) -> "CategoryGraph":
-        return replace(self, objects=self.objects + (obj,),
-                       arrows=self.arrows + arrows)
-
-    def with_mvd_objects(self, names) -> "CategoryGraph":
-        return replace(self, mvd_objects=frozenset(names))
 
 
 def composite_name(members) -> str:
@@ -646,8 +643,8 @@ def is_valid(report: list[Violation]) -> bool:
 # graph -> FD conversion (the first step of both closure algorithms)
 # ---------------------------------------------------------------------------
 
-def graph_to_fds(graph: CategoryGraph) -> tuple[FD, ...]:
-    """Read the functional dependencies off the graph.
+def graph_to_fds(graph: CategoryGraph | GraphIndex) -> tuple[FD, ...]:
+    """Read the functional dependencies off a graph or its index.
 
     Each arrow X -> Y contributes {X} -> {Y}; each relationship object R
     with projection targets A1..An contributes the key pair
@@ -656,7 +653,7 @@ def graph_to_fds(graph: CategoryGraph) -> tuple[FD, ...]:
     out: list[FD] = []
     for a in graph.arrows:
         out.append(FD(frozenset([a.source]), frozenset([a.target])))
-    for o in graph.objects:
+    for o in graph.object_map.values():
         if o.kind != "relationship":
             continue
         pi = graph.projection_targets(o.name)

@@ -1,119 +1,81 @@
-"""The FD closure of a category graph.
+"""The two steps of the closure driver (`mvdclosure`), in place on one
+`GraphIndex`, and the redundancy index that the reducer prunes with.
 
-The closure algorithm materializes composite left-hand sides of declared
-dependencies as relationship-like objects (with projection arrows to the
-members) and then inserts one arrow per relevant inferred dependency.
-An inferred FD is relevant only when its LHS is an object of the graph or
-a declared LHS, and its RHS is an object of the graph.
+The closure materializes composite left-hand sides of declared FDs as
+relationship objects with projection arrows to the members, then inserts
+one arrow per relevant inferred dependency: its LHS is an object of the
+graph or a declared LHS, and its RHS is an object of the graph.
 """
 
 from __future__ import annotations
 
 from .core import (
-    FD,
     Arrow,
     CategoryGraph,
     FDIndex,
-    ObjectDecl,
+    GraphIndex,
     SchemaError,
     composite_name,
     graph_to_fds,
 )
 
 
-def _representative(graph: CategoryGraph, lhs: frozenset[str]) -> str | None:
-    """Object standing for an LHS set, if any.
+def materialize_declared(graph: GraphIndex, fds, provenance: list | None = None
+                         ) -> dict[frozenset[str], str]:
+    """Give every composite declared LHS set an object of its own, in place.
 
-    A singleton is represented by the object itself; a composite by the
-    relationship object, first by name, whose projection targets are
-    exactly the set (e.g. a composite materialized on an earlier run).
-    """
-    if len(lhs) == 1:
-        (name,) = lhs
-        return name if graph.has_object(name) else None
-    candidates = [o.name for o in graph.objects
-                  if o.kind == "relationship"
-                  and graph.projection_targets(o.name) == lhs]
-    return min(candidates, default=None)
-
-
-def _materialize(graph: CategoryGraph, lhs: frozenset[str],
-                 provenance: list | None) -> tuple[CategoryGraph, str]:
-    name = composite_name(lhs)
-    while graph.has_object(name):  # collision with an unrelated user object
-        name += "_"
-    arrows = tuple(Arrow(name=f"{name}__{m}", source=name, target=m,
-                         is_projection=True)
-                   for m in sorted(lhs))
-    graph = graph.with_object(
-        ObjectDecl(name=name, kind="relationship"), arrows=arrows)
-    if provenance is not None:
-        provenance.append({"object": name, "rule": "materialize-composite-lhs",
-                           "members": sorted(lhs)})
-    return graph, name
-
-
-def _member_determined(lhs: frozenset[str], index: FDIndex) -> bool:
-    """True when a single member already determines the whole set; such a
-    set needs no composite object of its own."""
-    return any(lhs <= index.closure({x}) for x in sorted(lhs))
-
-
-def materialize_declared(graph: CategoryGraph, fds,
-                         provenance: list | None = None
-                         ) -> tuple[CategoryGraph, list[FD]]:
-    """Give every composite declared LHS set an object of its own.
-
-    Sets that some object already represents are skipped, and so are sets
-    determined by one of their members, which ride on that member.
-    Returns the grown graph with its FDs followed by the declared ones.
+    Sets that some relationship object already represents are skipped, and
+    so are sets determined by one of their members, which ride on that
+    member.  A composite's name collides with no object, nor with an
+    earlier composite: it gets `_` until it is free.  Returns the
+    representatives: per projection set, its first relationship object by
+    name, the new composites included.
     """
     fds = tuple(fds)
     base = FDIndex(graph_to_fds(graph) + fds)
+    reps: dict[frozenset[str], str] = {}
+    for name in sorted(graph.projections):
+        if name in graph.object_map \
+                and graph.object_map[name].kind == "relationship":
+            reps.setdefault(graph.projections[name], name)
     for lhs in sorted({f.lhs for f in fds}, key=lambda s: tuple(sorted(s))):
-        if len(lhs) > 1 and _representative(graph, lhs) is None \
-                and not _member_determined(lhs, base):
-            graph, _ = _materialize(graph, lhs, provenance)
-    return graph, list(graph_to_fds(graph)) + list(fds)
+        if len(lhs) > 1 and lhs not in reps \
+                and not any(lhs <= base.closure({x}) for x in sorted(lhs)):
+            name = composite_name(lhs)
+            while graph.has_object(name):
+                name += "_"
+            graph.add(name, lhs)
+            reps[lhs] = name
+            if provenance is not None:
+                provenance.append({"object": name,
+                                   "rule": "materialize-composite-lhs",
+                                   "members": sorted(lhs)})
+    return reps
 
 
-def add_inferred_arrows(graph: CategoryGraph, lhs_sets, fds, close,
-                        rule: str,
-                        provenance: list | None = None) -> CategoryGraph:
-    """Insert one arrow rep -> y per relevant inferred dependency.
+def add_inferred_arrows(graph: GraphIndex, reps, lhs_sets, fds, close,
+                        rule: str, provenance: list | None = None) -> None:
+    """Add one arrow rep -> y per relevant inferred dependency, in place.
 
     The relevant seeds are the singletons among `lhs_sets` and the LHS sets
     of the declared `fds`.  A seed counts only when an object represents
-    it; `close(seed)` gives its closure, and every object y of that closure
+    it: a singleton's own object, or a composite's entry in `reps`.
+    `close(seed)` gives its closure, and every object y of that closure
     outside the seed gets an arrow from the representative, recorded under
     `rule`.
     """
-    pairs = set(graph.arrow_pairs())
-    added = []
     seeds = {lhs for lhs in lhs_sets if len(lhs) == 1} | {f.lhs for f in fds}
     for lhs in sorted(seeds, key=lambda s: tuple(sorted(s))):
-        rep = _representative(graph, lhs)
-        if rep is None:
+        rep = min(lhs) if len(lhs) == 1 else reps.get(lhs)
+        if rep is None or not graph.has_object(rep):
             continue
         for y in sorted(close(lhs)):
             if y == rep or y in lhs or not graph.has_object(y) \
-                    or (rep, y) in pairs:
+                    or graph.has_arrow(rep, y):
                 continue
-            pairs.add((rep, y))
-            added.append(Arrow(name=f"{rep}_to_{y}", source=rep, target=y))
+            graph.add_arrow(Arrow(name=f"{rep}_to_{y}", source=rep, target=y))
             if provenance is not None:
                 provenance.append({"arrow": [rep, y], "rule": rule})
-    return graph.with_arrows(added)
-
-
-def fd_closure_graph(graph: CategoryGraph, fds,
-                     provenance: list | None = None) -> CategoryGraph:
-    """Relevant closure of a graph under its own arrows plus declared FDs."""
-    fds = tuple(fds)
-    graph, d_all = materialize_declared(graph, fds, provenance)
-    return add_inferred_arrows(graph, [f.lhs for f in d_all], fds,
-                               FDIndex(d_all).closure, "fd-closure",
-                               provenance)
 
 
 class RedundancyIndex:

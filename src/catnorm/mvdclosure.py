@@ -1,4 +1,5 @@
-"""Dependency-basis inference and the FD+MVD closure of a category graph.
+"""Dependency-basis inference and the closure of a category graph, under
+FDs alone or FDs and MVDs.
 
 The dependency basis of a seed X within a context universe U is the finest
 partition of U - X such that X multidetermines every union of blocks.  It
@@ -10,7 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import MVD, CategoryGraph, DependencySet, GraphIndex, SchemaError
+from .core import (
+    MVD,
+    CategoryGraph,
+    DependencySet,
+    FDIndex,
+    GraphIndex,
+    SchemaError,
+    graph_to_fds,
+)
 from .fdclosure import add_inferred_arrows, materialize_declared
 
 
@@ -95,7 +104,9 @@ def mixed_closure_of(deps: DependencySet,
     only the contexts the closure meets, in context order.  The closure is
     the least set that holds the seed and is closed under both rules, and
     both grow with the set, so the order in which contexts are visited
-    does not change it."""
+    does not change it.  The plain fixpoint closes on the FDs as given;
+    only the per-context parts read the canonical FDs."""
+    index = FDIndex(deps.fds)
     derivable = {ctx: _fd_targets(deps, u, ctx) for ctx, u in contexts.items()}
     order = {ctx: i for i, ctx in enumerate(contexts)}
     holding: dict[str, list[str]] = {}
@@ -103,11 +114,11 @@ def mixed_closure_of(deps: DependencySet,
         for a in universe:
             holding.setdefault(a, []).append(ctx)
 
-    def close(seed) -> frozenset[str]:
-        closure = deps.fd_index.closure(seed)
+    def close(seed) -> set[str]:
+        closure = index.closure(seed)
         while True:
-            met = sorted({ctx for a in closure for ctx in holding.get(a, ())},
-                         key=order.__getitem__)
+            met = sorted({ctx for a in holding.keys() & closure
+                          for ctx in holding[a]}, key=order.__getitem__)
             grown = False
             for ctx in met:
                 universe = contexts[ctx]
@@ -120,8 +131,8 @@ def mixed_closure_of(deps: DependencySet,
                             closure.add(a)
                             grown = True
             if not grown:
-                return frozenset(closure)
-            closure = deps.fd_index.closure(closure)
+                return closure
+            closure = index.closure(closure)
     return close
 
 
@@ -139,7 +150,7 @@ def split_mvd(graph: GraphIndex, deps: DependencySet, m: MVD) -> MVD | None:
     return MVD(m.lhs, blocks[0], m.context) if len(blocks) >= 2 else None
 
 
-def identify_mvd_objects(graph: CategoryGraph,
+def identify_mvd_objects(graph: GraphIndex,
                          deps: DependencySet) -> frozenset[str]:
     """Relationship objects witnessing a nontrivial inferred MVD.
 
@@ -153,22 +164,37 @@ def identify_mvd_objects(graph: CategoryGraph,
                      if split_mvd(graph, deps, m) is not None)
 
 
+def _closure_graph(graph: CategoryGraph, fds, mvds, rule: str,
+                   provenance: list | None) -> CategoryGraph:
+    """The closure driver: composites for the declared FD left-hand sides,
+    inferred-FD arrows recorded under `rule`, and MVD-object marks.  All
+    of it runs on one `GraphIndex` copy of the graph, and the closed graph
+    is built once, at the end."""
+    fds, mvds = tuple(fds), tuple(mvds)
+    index = GraphIndex(graph)
+    # only FD left-hand sides are materialized; MVD composites stay plain
+    # attribute sets for the dependency-basis machinery
+    reps = materialize_declared(index, fds, provenance)
+    deps = DependencySet(fds=graph_to_fds(index) + fds, mvds=mvds)
+    contexts = {m.context: index.projection_targets(m.context) for m in mvds
+                if index.has_object(m.context)}
+    add_inferred_arrows(index, reps, [d.lhs for d in deps.fds + mvds], fds,
+                        mixed_closure_of(deps, contexts), rule, provenance)
+    mvd_objs = identify_mvd_objects(index, deps)
+    if provenance is not None:
+        for name in sorted(mvd_objs - index.mvd_objects):
+            provenance.append({"object": name, "rule": "mvd-object"})
+    index.mvd_objects |= mvd_objs
+    return index.graph()
+
+
+def fd_closure_graph(graph: CategoryGraph, fds,
+                     provenance: list | None = None) -> CategoryGraph:
+    """Relevant closure of a graph under its own arrows plus declared FDs."""
+    return _closure_graph(graph, fds, (), "fd-closure", provenance)
+
+
 def fd_mvd_closure_graph(graph: CategoryGraph, fds, mvds,
                          provenance: list | None = None) -> CategoryGraph:
     """Closure under FDs and MVDs: inferred-FD arrows plus MVD-object marks."""
-    fds = tuple(fds)
-    mvds = tuple(mvds)
-    # only FD left-hand sides are materialized; MVD composites stay plain
-    # attribute sets for the dependency-basis machinery
-    graph, d_fds = materialize_declared(graph, fds, provenance)
-    deps = DependencySet(fds=tuple(d_fds), mvds=mvds)
-    contexts = {m.context: graph.projection_targets(m.context) for m in mvds
-                if graph.has_object(m.context)}
-    graph = add_inferred_arrows(
-        graph, [d.lhs for d in d_fds + list(mvds)], fds,
-        mixed_closure_of(deps, contexts), "fd-mvd-closure", provenance)
-    mvd_objs = identify_mvd_objects(graph, deps)
-    if provenance is not None:
-        for name in sorted(mvd_objs - graph.mvd_objects):
-            provenance.append({"object": name, "rule": "mvd-object"})
-    return graph.with_mvd_objects(graph.mvd_objects | mvd_objs)
+    return _closure_graph(graph, fds, mvds, "fd-mvd-closure", provenance)

@@ -17,8 +17,8 @@ from .core import (
     SchemaError,
     graph_to_fds,
 )
-from .fdclosure import RedundancyIndex, derivable_without, fd_closure_graph
-from .mvdclosure import fd_mvd_closure_graph, split_mvd
+from .fdclosure import RedundancyIndex, derivable_without
+from .mvdclosure import fd_closure_graph, fd_mvd_closure_graph, split_mvd
 
 
 @dataclass
@@ -234,15 +234,13 @@ def decompose_mvd_object(graph: CategoryGraph, name: str,
     return index.graph(), names
 
 
-def _recontextualize(mvds, old: str, graph: GraphIndex,
+def _recontextualize(mvds, graph: GraphIndex,
                      names: tuple[str, str]) -> tuple[MVD, ...]:
-    """Re-home MVDs after a split: an MVD lands in every fragment containing
-    its attributes; those straddling the split are satisfied and dropped."""
+    """Re-home a split object's MVDs: an MVD lands in every fragment
+    containing its attributes; those straddling the split are satisfied
+    and dropped."""
     out = []
     for m in mvds:
-        if m.context != old:
-            out.append(m)
-            continue
         for new_name in names:
             if m.lhs | m.rhs <= graph.projection_targets(new_name):
                 out.append(MVD(m.lhs, m.rhs, new_name))
@@ -300,7 +298,7 @@ def _remove_objects(graph: CategoryGraph, fds, mvds,
         chosen = first.pop(name)
         names = _split(index, suffixes, name, chosen)
         trace.decomposed_objects.append((name, chosen, names))
-        for m in _recontextualize(by_context.pop(name), name, index, names):
+        for m in _recontextualize(by_context.pop(name), index, names):
             by_context.setdefault(m.context, []).append(m)
         for ctx in names:
             if ctx in by_context:

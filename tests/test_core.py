@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from catnorm import (
@@ -182,7 +184,7 @@ def test_validate_thinness():
 def test_validate_mvd_containment(fig6):
     graph, _ = fig6
     bad = DependencySet(mvds=(mvd("A", "E0", "X"),))
-    graph = graph.with_object(ObjectDecl("E0", "entity"))
+    graph = replace(graph, objects=graph.objects + (ObjectDecl("E0", "entity"),))
     report = validate(graph, bad)
     assert any(v.code == "mvd-containment" for v in report)
 

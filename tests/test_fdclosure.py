@@ -107,6 +107,21 @@ def test_fd_closure_composite_ignores_a_namesake():
     assert ("x_y_", "z") in closed.arrow_pairs()
 
 
+def test_fd_closure_composite_names_collide_within_one_call():
+    # {a, b_c} and {a_b, c} both join to the name a_b_c; the composite
+    # made second gets "_", as does one that meets a user object
+    graph = CategoryGraph(objects=tuple(
+        ObjectDecl(n, "attribute") for n in ("a", "b_c", "a_b", "c", "z")))
+    provenance = []
+    closed = fd_closure_graph(
+        graph, (fd(["a_b", "c"], ["z"]), fd(["a", "b_c"], ["z"])), provenance)
+    assert closed.projection_targets("a_b_c") == {"a", "b_c"}
+    assert closed.projection_targets("a_b_c_") == {"a_b", "c"}
+    assert {("a_b_c", "z"), ("a_b_c_", "z")} <= closed.arrow_pairs()
+    assert [p["object"] for p in provenance
+            if p["rule"] == "materialize-composite-lhs"] == ["a_b_c", "a_b_c_"]
+
+
 def test_fd_closure_idempotent(fig5):
     graph, deps = fig5
     once = fd_closure_graph(graph, deps.fds)

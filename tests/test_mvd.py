@@ -13,10 +13,11 @@ from catnorm import (
     graph_to_fds,
     mvd,
     mvd_membership,
+    serialize_schema,
 )
 from catnorm import mvdclosure
 from catnorm.mvdclosure import mixed_closure_of
-from genschema import contexts_schema
+from genschema import contexts_schema, random_fd_schema
 
 
 def test_basis_complement():
@@ -74,11 +75,21 @@ def test_fd_mvd_closure_fig6(fig6):
 
 
 def test_fd_mvd_closure_degenerates_without_mvds(fig5):
-    graph, deps = fig5
-    a = fd_mvd_closure_graph(graph, deps.fds, ())
-    b = fd_closure_graph(graph, deps.fds)
-    assert a.arrow_pairs() == b.arrow_pairs()
-    assert a.mvd_objects == frozenset()
+    """Without MVDs both closures serialize the same graph and provenance;
+    only the rule name of the inferred arrows differs."""
+    cases = [fig5] + [random_fd_schema(random.Random(s)) for s in range(60)]
+    rules = set()
+    for graph, deps in cases:
+        p_fd, p_mixed = [], []
+        a = fd_closure_graph(graph, deps.fds, p_fd)
+        b = fd_mvd_closure_graph(graph, deps.fds, (), p_mixed)
+        rules |= {p["rule"] for p in p_mixed}
+        renamed = [dict(p, rule="fd-closure")
+                   if p["rule"] == "fd-mvd-closure" else p for p in p_mixed]
+        assert serialize_schema(b, deps, renamed) == \
+            serialize_schema(a, deps, p_fd)
+        assert b.mvd_objects == graph.mvd_objects
+    assert rules == {"fd-mvd-closure", "materialize-composite-lhs"}
 
 
 def test_mvd_object_without_new_fds(fig6):
