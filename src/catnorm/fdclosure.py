@@ -10,6 +10,7 @@ graph or a declared LHS, and its RHS is an object of the graph.
 from __future__ import annotations
 
 from .core import (
+    FD,
     Arrow,
     CategoryGraph,
     FDIndex,
@@ -20,19 +21,32 @@ from .core import (
 )
 
 
+def _left_reduced(f: FD, index: FDIndex) -> FD:
+    """`f` less each LHS member, in sorted order, without which the rest
+    still determines the RHS under `index` (Maier, JACM 1980)."""
+    lhs = f.lhs
+    for x in sorted(f.lhs):
+        if f.rhs <= index.closure(lhs - {x}):
+            lhs -= {x}
+    return FD(lhs, f.rhs)
+
+
 def materialize_declared(graph: GraphIndex, fds, provenance: list | None = None
-                         ) -> dict[frozenset[str], str]:
+                         ) -> tuple[dict[frozenset[str], str], tuple[FD, ...]]:
     """Give every composite declared LHS set an object of its own, in place.
 
-    Sets that some relationship object already represents are skipped, and
-    so are sets determined by one of their members, which ride on that
-    member.  A composite's name collides with no object, nor with an
-    earlier composite: it gets `_` until it is free.  Returns the
-    representatives: per projection set, its first relationship object by
-    name, the new composites included.
+    Each declared FD is left-reduced first, under the graph's FDs and the
+    declared ones: in a reduced LHS no member follows from the others, so
+    no projection of a fresh composite is key-prunable.  Sets that some
+    relationship object already represents are skipped, and so are sets
+    determined by one of their members, which ride on that member.  A
+    composite's name collides with no object, nor with an earlier
+    composite: it gets `_` until it is free.  Returns the representatives,
+    per projection set its first relationship object by name, the new
+    composites included; and the left-reduced FDs.
     """
-    fds = tuple(fds)
-    base = FDIndex(graph_to_fds(graph) + fds)
+    base = FDIndex(graph_to_fds(graph) + tuple(fds))
+    fds = tuple(_left_reduced(f, base) for f in fds)
     reps: dict[frozenset[str], str] = {}
     for name in sorted(graph.projections):
         if name in graph.object_map \
@@ -50,7 +64,7 @@ def materialize_declared(graph: GraphIndex, fds, provenance: list | None = None
                 provenance.append({"object": name,
                                    "rule": "materialize-composite-lhs",
                                    "members": sorted(lhs)})
-    return reps
+    return reps, fds
 
 
 def add_inferred_arrows(graph: GraphIndex, reps, lhs_sets, fds, close,

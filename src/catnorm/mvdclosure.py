@@ -174,12 +174,13 @@ def _closure_graph(graph: CategoryGraph, fds, mvds, rule: str,
     index = GraphIndex(graph)
     # only FD left-hand sides are materialized; MVD composites stay plain
     # attribute sets for the dependency-basis machinery
-    reps = materialize_declared(index, fds, provenance)
+    reps, reduced = materialize_declared(index, fds, provenance)
     deps = DependencySet(fds=graph_to_fds(index) + fds, mvds=mvds)
     contexts = {m.context: index.projection_targets(m.context) for m in mvds
                 if index.has_object(m.context)}
-    add_inferred_arrows(index, reps, [d.lhs for d in deps.fds + mvds], fds,
-                        mixed_closure_of(deps, contexts), rule, provenance)
+    add_inferred_arrows(index, reps, [d.lhs for d in deps.fds + mvds],
+                        reduced, mixed_closure_of(deps, contexts), rule,
+                        provenance)
     mvd_objs = identify_mvd_objects(index, deps)
     if provenance is not None:
         for name in sorted(mvd_objs - index.mvd_objects):

@@ -99,6 +99,25 @@ def test_reduce_writes_schema_and_trace(capsys, data_dir, tmp_path):
     assert {o["name"] for o in schema["objects"]} >= {"X1", "X2"}
 
 
+@pytest.mark.parametrize("level", ["1", "2"])
+def test_reduce_left_reduces_a_declared_lhs(capsys, tmp_path, level):
+    # c follows from a, so {a, b, c} -> z needs only the composite a_b; a
+    # composite over all three had its projection to c key-pruned on every
+    # pass, and the prune loop never reached a fixpoint
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "objects": [{"name": n, "kind": "attribute"} for n in "abcz"],
+        "arrows": [{"name": "f", "source": "a", "target": "c"}],
+        "fds": [{"lhs": ["a", "b", "c"], "rhs": ["z"]}]}), encoding="utf-8")
+    code, out, err = run(capsys, "reduce", str(doc), "--level", level,
+                         "--stdout")
+    assert code == 0, err
+    reduced, _ = json.JSONDecoder().raw_decode(out)
+    assert {"name": "a_b", "kind": "relationship"} in reduced["objects"]
+    assert sorted(a["target"] for a in reduced["arrows"]
+                  if a["source"] == "a_b" and a["projection"]) == ["a", "b"]
+
+
 def test_emit_stdout(capsys, data_dir):
     code, out, _ = run(capsys, "emit", "--emit", "pg", "--stdout",
                        str(data_dir / "fig5.json"))

@@ -44,29 +44,29 @@ N_SEEDS = 300
 
 EXPECTED = {
     "fd-closure":
-        "b4395df650e537809f8c207c25ceee1d7a2749028f01dc2bbb0ac536330082f2",
+        "9704f831c5bf0faa514da6594e3a0038b81c0cf58d3fa65bf734acb467ad2d51",
     "fd-mvd-closure-fd-suite":
-        "d687190c3b1f4de7a2588d8678c4accc88e6e4d75b886bdf21c5241f84275661",
+        "2113613d624a01e1fdfe478a026bc622bd58dadfa8a85321c5af23477fcf8488",
     "fd-mvd-closure-mvd-suite":
         "6c39ece7d211d65de78bec81ece0c53d3bee623d4366f1bb04d6a61d99550a65",
     "first-reduced":
-        "d4fce5c441e259b082a523c792ba025c24e11999e6e3dea55f7b8851b24270db",
+        "dff71b359a8d1b148dbca0e707e55564f53d410efcd62617ff76f60391350572",
     "second-reduced":
         "3b2e2d644099462fd543590fbea2bc27e22935463bab45516d2f501aff41c1b1",
     "sql-1rr":
-        "738015398ca3b84d898d05007a2bf6e9dc332532cf79e89ed886483628b63552",
+        "49c2461eafee281b20552dc19220bf6d5a0395941fe329e8a3f091d82e5645b3",
     "sql-2rr":
         "5a95b2ca72f9a3534e885bf1b8bf68a6c8aff25874d96284e430df85ba5f8967",
     "dtd-1rr":
-        "487a46504b7d65048e00fbcd9a343fe1e3a76cf9ca7388111e55b6823d2dea93",
+        "f5d3b1411c26fe308a5ad7643de8b93b226cabc3b267878effa9e003a437d0b0",
     "dtd-2rr":
         "894b41e00022193a58f1e350c42f8c91520799f56bc595cb8554d464e9181ec7",
     "pg-1rr":
-        "39caec9a47aec238016d94af991ba9b2a73f77eafaaae64a0ca2a487c5f8c72f",
+        "05d4dfce55666044dc4f93470ef7aa2f1b934df1244a28f333496940e425a5ef",
     "pg-2rr":
         "0addd184e46db6262266c739c80df62343537650b333fdad9e0f50ec19c705c0",
     "reports-1rr":
-        "54c873e44c20496bfdb13b0642617c21e2dac9bdcc2ca0a024a6ebbea8efa298",
+        "52418c084b03246b7e65220f03a7cff354b0c71f20d7e2076300a6681bd12c1d",
     "reports-2rr":
         "df0f69046f4886eba2f1b7dedff6091b14d563b8ef8126bffe5c75814fef45d9",
 }

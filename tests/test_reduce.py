@@ -17,7 +17,7 @@ from catnorm import (
 )
 from catnorm import reduce
 from equivalence import equivalent, is_redundant_arrow
-from genschema import contexts_schema
+from genschema import contexts_schema, random_fd_schema
 
 
 def test_first_reduced_fig5(fig5):
@@ -189,3 +189,30 @@ def test_remove_objects_builds_one_graph(monkeypatch):
     monkeypatch.undo()
     assert len(trace.decomposed_objects) > 10
     assert len(built) <= 1
+
+
+def test_prune_passes_stay_within_the_bound(monkeypatch):
+    """Left-reduced declared left-hand sides bound the 1RR's prune passes
+    by P + L + 1: P projection arrows in the closure it starts from, L the
+    summed sizes of the declared left-hand sides.  A fresh composite has
+    no key-prunable projection, a declared LHS only shrinks, and every
+    pass but the last prunes a projection."""
+    passes = []
+    prune = reduce._prune_redundant_arrows
+
+    def counted(graph, fds):
+        passes.append(graph)
+        return prune(graph, fds)
+
+    monkeypatch.setattr(reduce, "_prune_redundant_arrows", counted)
+    most = 0
+    for seed in range(1000):
+        graph, deps = random_fd_schema(random.Random(seed))
+        closed = fd_closure_graph(graph, deps.fds)
+        bound = sum(a.is_projection for a in closed.arrows) \
+            + sum(len(f.lhs) for f in deps.fds) + 1
+        passes.clear()
+        first_reduced(graph, deps.fds)
+        assert len(passes) <= bound, seed
+        most = max(most, len(passes))
+    assert most > 1
