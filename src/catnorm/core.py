@@ -259,14 +259,15 @@ class GraphIndex:
         self.pairs: set[tuple[str, str]] = set()
         self._ids = count()
         arrows, out, indegree = self._arrows, self.out, self.indegree
-        projections: dict[str, set[str]] = {}
+        pairs, projections = self.pairs, {}
         for a, i in zip(graph.arrows, self._ids):
+            s, t = a.source, a.target
             arrows[i] = a
-            out.setdefault(a.source, []).append(i)
-            indegree[a.target] = indegree.get(a.target, 0) + 1
-            self.pairs.add((a.source, a.target))
+            out.setdefault(s, []).append(i)
+            indegree[t] = indegree.get(t, 0) + 1
+            pairs.add((s, t))
             if a.is_projection:
-                projections.setdefault(a.source, set()).add(a.target)
+                projections.setdefault(s, set()).add(t)
         self.projections = {name: frozenset(targets)
                             for name, targets in projections.items()}
 

@@ -101,7 +101,8 @@ def mixed_closure_of(deps: DependencySet,
 
     The per-context parts are built once: the FD-determined attributes of
     each context, and the contexts holding each attribute.  A round visits
-    only the contexts the closure meets, in context order.  The closure is
+    only the contexts the closure meets, in context order, and a closure
+    that meets none is final.  The closure is
     the least set that holds the seed and is closed under both rules, and
     both grow with the set, so the order in which contexts are visited
     does not change it.  The plain fixpoint closes on the FDs as given;
@@ -116,11 +117,10 @@ def mixed_closure_of(deps: DependencySet,
 
     def close(seed) -> set[str]:
         closure = index.closure(seed)
-        while True:
-            met = sorted({ctx for a in holding.keys() & closure
-                          for ctx in holding[a]}, key=order.__getitem__)
+        while met := holding.keys() & closure:
             grown = False
-            for ctx in met:
+            for ctx in sorted({ctx for a in met for ctx in holding[a]},
+                              key=order.__getitem__):
                 universe = contexts[ctx]
                 basis = dependency_basis(universe.intersection(closure), deps,
                                          universe, context=ctx)
@@ -131,8 +131,9 @@ def mixed_closure_of(deps: DependencySet,
                             closure.add(a)
                             grown = True
             if not grown:
-                return closure
+                break
             closure = index.closure(closure)
+        return closure
     return close
 
 
