@@ -81,6 +81,26 @@ def random_mvd_schema(rng: random.Random) -> tuple[CategoryGraph, DependencySet]
             DependencySet(mvds=tuple(mvds)))
 
 
+def bridged_mvd_schema(rng: random.Random
+                       ) -> tuple[CategoryGraph, DependencySet]:
+    """A relationship context R over 3..5 attributes, an entity E outside
+    it with arrows s -> E -> t between two of R's attributes, and one
+    declared MVD on R.  The FD s -> t holds inside R only through E, so
+    only the closed graph shows it within the context."""
+    k = rng.randint(3, 5)
+    attrs = [f"A{i}" for i in range(k)]
+    objects = (ObjectDecl("R", "relationship"), ObjectDecl("E", "entity")) \
+        + tuple(ObjectDecl(a, "attribute") for a in attrs)
+    s, t = rng.sample(attrs, 2)
+    arrows = [Arrow(f"p_{a}", "R", a, is_projection=True) for a in attrs]
+    arrows += [Arrow(f"f_{s}_E", s, "E"), Arrow(f"f_E_{t}", "E", t)]
+    lhs = frozenset(rng.sample(attrs, rng.randint(1, 2)))
+    rest = [a for a in attrs if a not in lhs]
+    rhs = frozenset(rng.sample(rest, rng.randint(1, len(rest))))
+    return (CategoryGraph(objects=objects, arrows=tuple(arrows)),
+            DependencySet(mvds=(MVD(lhs, rhs, "R"),)))
+
+
 def random_dependency_set(rng: random.Random, universe) -> DependencySet:
     """FDs and MVDs over a fixed small attribute universe (context-free)."""
     attrs = sorted(universe)

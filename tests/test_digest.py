@@ -2,7 +2,8 @@
 
 Each digest is the sha256 of one output over a fixed range of generated
 schemas: the serialized closures (with provenance), the reduced schemas
-with their reduction traces, the SQL, DTD and property graph rendered
+with their reduction traces (of the bridged family too, whose MVD context
+shows an FD only once closed), the SQL, DTD and property graph rendered
 from the reduced schemas, and the JSON of their BCNF, improved-BCNF, 4NF
 and XML-NF reports.  One more digest pins what `catnorm emit --emit
 relational` prints for unreduced schemas, its warnings included.  They
@@ -38,7 +39,7 @@ from catnorm import (
     serialize_schema,
 )
 from catnorm.cli import main
-from genschema import random_fd_schema, random_mvd_schema
+from genschema import bridged_mvd_schema, random_fd_schema, random_mvd_schema
 
 N_SEEDS = 300
 
@@ -69,6 +70,10 @@ EXPECTED = {
         "52418c084b03246b7e65220f03a7cff354b0c71f20d7e2076300a6681bd12c1d",
     "reports-2rr":
         "df0f69046f4886eba2f1b7dedff6091b14d563b8ef8126bffe5c75814fef45d9",
+    "fd-mvd-closure-bridged":
+        "33fbf371fe8c18966f235ef289818dd0ef72856ae77909f5c5450543a67278aa",
+    "second-reduced-bridged":
+        "3864dc2bf3ef99542c0b8a711bf83c3518b95a9abe5324c9d7f343f4165151f5",
 }
 
 
@@ -134,6 +139,10 @@ CASES = {
     "first-reduced": (random_fd_schema, _reduction(
         lambda g, d: first_reduced(g, d.fds))),
     "second-reduced": (random_mvd_schema, _reduction(
+        lambda g, d: second_reduced(g, d.fds, d.mvds))),
+    "fd-mvd-closure-bridged": (bridged_mvd_schema, _closure(
+        lambda g, d, p: fd_mvd_closure_graph(g, d.fds, d.mvds, p))),
+    "second-reduced-bridged": (bridged_mvd_schema, _reduction(
         lambda g, d: second_reduced(g, d.fds, d.mvds))),
 }
 for _kind, _render in RENDERERS.items():
