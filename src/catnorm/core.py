@@ -157,14 +157,15 @@ class DependencySet:
     # `with_mvds` hands the canonical ones on.
 
     def canonical_fds(self) -> tuple[FD, ...]:
-        """Split every FD into singleton-rhs form, dropping duplicates."""
+        """Split every FD into singleton-rhs form, dropping duplicates and
+        the trivial members, those in the FD's own left-hand side."""
         return self._canonical
 
     @cached_property
     def _canonical(self) -> tuple[FD, ...]:
         seen, out = set(), []
         for f in self.fds:
-            for a in sorted(f.rhs):
+            for a in sorted(f.rhs - f.lhs):
                 c = FD(f.lhs, frozenset([a]))
                 if c not in seen:
                     seen.add(c)

@@ -118,6 +118,34 @@ def test_reduce_left_reduces_a_declared_lhs(capsys, tmp_path, level):
                   if a["source"] == "a_b" and a["projection"]) == ["a", "b"]
 
 
+@pytest.mark.parametrize("lhs", [["x", "a"], ["a"]])
+def test_trivial_declared_fd_adds_nothing(capsys, tmp_path, lhs):
+    # {x, a} -> a says nothing; read as an FD into a, it let the basis
+    # block {a} of x ->> a in R become x -> a, and the 2RR keyed a table
+    # x(x, a, b) on x alone and dropped R as subsumed
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "objects": [{"name": "R", "kind": "relationship"}]
+        + [{"name": n, "kind": "attribute"} for n in "xab"],
+        "arrows": [
+            {"name": "p_x", "source": "R", "target": "x", "projection": True},
+            {"name": "p_a", "source": "R", "target": "a", "projection": True},
+            {"name": "f", "source": "x", "target": "b"}],
+        "fds": [{"lhs": lhs, "rhs": ["a"]}],
+        "mvds": [{"lhs": ["x"], "rhs": ["a"], "context": "R"}]}),
+        encoding="utf-8")
+    code, out, err = run(capsys, "closure", str(doc), "--stdout")
+    assert code == 0, err
+    closed, _ = json.JSONDecoder().raw_decode(out)
+    assert {(a["source"], a["target"]) for a in closed["arrows"]} \
+        == {("R", "x"), ("R", "a"), ("x", "b"), ("R", "b")}
+    code, out, err = run(capsys, "reduce", str(doc), "--level", "2",
+                         "--emit", "relational", "--stdout")
+    assert code == 0, err
+    assert "CREATE TABLE R (" in out and "PRIMARY KEY (a, x)" in out
+    assert "subsumed" not in err
+
+
 def test_emit_stdout(capsys, data_dir):
     code, out, _ = run(capsys, "emit", "--emit", "pg", "--stdout",
                        str(data_dir / "fig5.json"))
