@@ -393,10 +393,7 @@ class CategoryGraph:
     # -- functional updates --------------------------------------------------
 
     def with_arrow(self, arrow: Arrow) -> "CategoryGraph":
-        return self.with_arrows((arrow,))
-
-    def with_arrows(self, arrows) -> "CategoryGraph":
-        return replace(self, arrows=self.arrows + tuple(arrows))
+        return replace(self, arrows=self.arrows + (arrow,))
 
     def without_arrow(self, arrow: Arrow) -> "CategoryGraph":
         return self.without_arrows({arrow})

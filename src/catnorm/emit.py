@@ -39,6 +39,12 @@ class RelationalSchema:
     warnings: list[str] = field(default_factory=list)
 
 
+def _add(seq: list[str], item: str) -> None:
+    """Append `item` unless `seq` already holds it."""
+    if item not in seq:
+        seq.append(item)
+
+
 def _is_referencing(o_kind: str) -> bool:
     return o_kind in ("entity", "relationship")
 
@@ -181,24 +187,20 @@ def emit_dtd(graph: CategoryGraph) -> DtdSchema:
     def has_outgoing(name: str) -> bool:
         return bool(graph.out_neighbours(name))
 
-    def add(seq: list[str], item: str):
-        if item not in seq:
-            seq.append(item)
-
     for o in graph.objects:
         if not has_outgoing(o.name):
             continue
-        add(dtd.tags, o.name)
+        _add(dtd.tags, o.name)
         dtd.content.setdefault(EPSILON, []).append(o.name + "+")
         dtd.tag_attrs[o.name] = ["@ID"]
         for n in graph.out_neighbours(o.name):
             if has_outgoing(n):
                 ref = f"@{n}_ID"
-                add(dtd.attributes, ref)
-                add(dtd.tag_attrs[o.name], ref)
+                _add(dtd.attributes, ref)
+                _add(dtd.tag_attrs[o.name], ref)
             else:
                 dtd.content.setdefault(o.name, []).append(n)
-                add(dtd.tags, n)
+                _add(dtd.tags, n)
     return dtd
 
 
@@ -246,21 +248,17 @@ def emit_property_graph(graph: CategoryGraph) -> PropertyGraphSchema:
     pg = PropertyGraphSchema()
     objmap = graph.object_map
 
-    def add(seq, item):
-        if item not in seq:
-            seq.append(item)
-
     for o in graph.objects:
         if not graph.out_neighbours(o.name):
             continue
-        add(pg.vertices, o.name)
+        _add(pg.vertices, o.name)
         pg.properties.setdefault(o.name, [])
-        add(pg.properties[o.name], "SK")
-        add(pg.attributes, "SK")
+        _add(pg.properties[o.name], "SK")
+        _add(pg.attributes, "SK")
         for n in graph.out_neighbours(o.name):
             if objmap[n].kind == "attribute" and not graph.out_neighbours(n):
-                add(pg.properties[o.name], n)
-                add(pg.attributes, n)
+                _add(pg.properties[o.name], n)
+                _add(pg.attributes, n)
             elif not pg.has_edge(o.name, n):
                 pg.edges.append((o.name, n))
     return pg

@@ -38,12 +38,11 @@ def materialize_declared(graph: GraphIndex, fds, provenance: list | None = None
     Each declared FD is left-reduced first, under the graph's FDs and the
     declared ones: in a reduced LHS no member follows from the others, so
     no projection of a fresh composite is key-prunable.  Sets that some
-    relationship object already represents are skipped, and so are sets
-    determined by one of their members, which ride on that member.  A
-    composite's name collides with no object, nor with an earlier
-    composite: it gets `_` until it is free.  Returns the representatives,
-    per projection set its first relationship object by name, the new
-    composites included; and the left-reduced FDs.
+    relationship object already represents are skipped.  A composite's
+    name collides with no object, nor with an earlier composite: it gets
+    `_` until it is free.  Returns the representatives, per projection set
+    its first relationship object by name, the new composites included;
+    and the left-reduced FDs.
     """
     base = FDIndex(graph_to_fds(graph) + tuple(fds))
     fds = tuple(_left_reduced(f, base) for f in fds)
@@ -53,8 +52,7 @@ def materialize_declared(graph: GraphIndex, fds, provenance: list | None = None
                 and graph.object_map[name].kind == "relationship":
             reps.setdefault(graph.projections[name], name)
     for lhs in sorted({f.lhs for f in fds}, key=lambda s: tuple(sorted(s))):
-        if len(lhs) > 1 and lhs not in reps \
-                and not any(lhs <= base.closure({x}) for x in sorted(lhs)):
+        if len(lhs) > 1 and lhs not in reps:
             name = composite_name(lhs)
             while graph.has_object(name):
                 name += "_"
@@ -80,8 +78,8 @@ def add_inferred_arrows(graph: GraphIndex, reps, lhs_sets, fds, close,
     """
     seeds = {lhs for lhs in lhs_sets if len(lhs) == 1} | {f.lhs for f in fds}
     for lhs in sorted(seeds, key=lambda s: tuple(sorted(s))):
-        rep = min(lhs) if len(lhs) == 1 else reps.get(lhs)
-        if rep is None or not graph.has_object(rep):
+        rep = min(lhs) if len(lhs) == 1 else reps[lhs]
+        if not graph.has_object(rep):
             continue
         for y in sorted(close(lhs)):
             if y == rep or y in lhs or not graph.has_object(y) \
@@ -104,7 +102,7 @@ class RedundancyIndex:
     """
 
     def __init__(self, graph: CategoryGraph, fds=()):
-        self.kinds = {o.name: o.kind for o in graph.objects}
+        kinds = {o.name: o.kind for o in graph.objects}
         self.fds = FDIndex()
         self.arrow_ids: dict[Arrow, int] = {}
         self.projections: dict[str, set[str]] = {}
@@ -115,7 +113,7 @@ class RedundancyIndex:
                                   f"from {a.source!r} to {a.target!r}")
             pairs.add(a.pair)
             self.arrow_ids[a] = self.fds.add({a.source}, {a.target})
-            if a.is_projection and self.kinds.get(a.source) == "relationship":
+            if a.is_projection and kinds.get(a.source) == "relationship":
                 self.projections.setdefault(a.source, set()).add(a.target)
         self.keys = {name: self.fds.add(targets, {name})
                      for name, targets in self.projections.items()}

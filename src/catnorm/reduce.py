@@ -71,10 +71,8 @@ def _derivation_path(parents: dict[str, str | None], target: str) -> str:
 
 
 def _removal_order(graph: CategoryGraph) -> list[Arrow]:
-    composed = [a for a in graph.arrows if not a.is_projection]
-    projections = [a for a in graph.arrows if a.is_projection]
-    key = lambda a: a.pair
-    return sorted(composed, key=key) + sorted(projections, key=key)
+    """Composed arrows first, then projections, each by name pair."""
+    return sorted(graph.arrows, key=lambda a: (a.is_projection, a.pair))
 
 
 def _key_prunable(index: RedundancyIndex, arrow: Arrow) -> bool:
@@ -82,8 +80,6 @@ def _key_prunable(index: RedundancyIndex, arrow: Arrow) -> bool:
     already follows from the remaining projection targets.  Routes through
     the source itself are excluded; they would let the source's own key
     dependency justify shrinking that very key."""
-    if index.kinds[arrow.source] != "relationship":
-        return False
     base = index.projections_without(arrow)
     if not base:
         return False

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from catnorm import (
+    FD,
     Arrow,
     CategoryGraph,
     ObjectDecl,
@@ -9,8 +12,11 @@ from catnorm import (
     fd_closure_graph,
     graph_to_fds,
 )
+from catnorm.core import FDIndex
+from catnorm.fdclosure import _left_reduced
 from closure import attribute_closure
 from equivalence import covers, equivalent, is_redundant_arrow
+from genschema import random_fd_schema
 
 
 def brute_force_closure(seed, fds):
@@ -175,3 +181,26 @@ def test_is_redundant_arrow_unknown():
                                    ObjectDecl("B", "attribute")))
     with pytest.raises(SchemaError):
         is_redundant_arrow(Arrow("f", "A", "B"), graph)
+
+
+def test_left_reduced_lhs_rides_on_no_member():
+    """No member y of a left-reduced LHS S with two or more members has S
+    in cl(y).  Every other member would have been dropped at its turn: the
+    rest still held y, and cl(y) holds the RHS.  So a declared composite
+    never rides on one of its members."""
+    checked = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        graph, deps = random_fd_schema(rng)
+        names = [o.name for o in graph.objects]
+        extra = tuple(FD(frozenset(rng.sample(names, min(len(names), k))),
+                         frozenset([rng.choice(names)]))
+                      for k in (2, 3, 4))
+        fds = deps.fds + extra
+        index = FDIndex(graph_to_fds(graph) + fds)
+        for f in fds:
+            lhs = _left_reduced(f, index).lhs
+            if len(lhs) > 1:
+                checked += 1
+                assert not any(lhs <= index.closure({y}) for y in lhs), seed
+    assert checked > 300
