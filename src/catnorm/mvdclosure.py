@@ -137,18 +137,24 @@ def mixed_closure_of(deps: DependencySet,
     return close
 
 
-def split_mvd(graph: GraphIndex, deps: DependencySet, m: MVD) -> MVD | None:
-    """The MVD that m's context splits on: m's LHS and the first block of
-    its dependency basis over the context's projection targets.  None when
-    the context is not in the graph, m does not lie within its projection
-    targets, or the basis has a single block."""
-    if not graph.has_object(m.context):
-        return None
-    universe = graph.projection_targets(m.context)
-    if not (m.lhs | m.rhs) <= universe:
-        return None
-    blocks = dependency_basis(m.lhs, deps, universe, context=m.context).blocks
-    return MVD(m.lhs, blocks[0], m.context) if len(blocks) >= 2 else None
+def mvd_splits(graph: GraphIndex, deps: DependencySet,
+               mvds) -> dict[str, MVD]:
+    """Per context that one of its own MVDs among `mvds` splits, the first
+    split in (lhs, rhs) order: an MVD's LHS and the first block of its
+    dependency basis over the context's projection targets, under the FDs
+    of `deps`, when the basis has two or more blocks."""
+    deps = deps.with_mvds(mvds)
+    key = lambda s: (tuple(sorted(s.lhs)), tuple(sorted(s.rhs)))
+    splits: dict[str, MVD] = {}
+    for m in mvds:
+        universe = graph.projection_targets(m.context)
+        if m.lhs | m.rhs <= universe:
+            blocks = dependency_basis(m.lhs, deps, universe,
+                                      context=m.context).blocks
+            if len(blocks) >= 2:
+                s = MVD(m.lhs, blocks[0], m.context)
+                splits[m.context] = min(splits.get(m.context, s), s, key=key)
+    return splits
 
 
 def identify_mvd_objects(graph: GraphIndex,
@@ -159,18 +165,17 @@ def identify_mvd_objects(graph: GraphIndex,
     X u Y strictly inside the projection targets of O.  Seeds are the LHS
     sets of the declared MVDs on O; the dependency basis supplies the
     inferred right-hand sides: any proper block gives such a Y, so O
-    qualifies exactly when some declared MVD splits it (`split_mvd`).
+    qualifies exactly when some declared MVD splits it (`mvd_splits`).
     """
-    return frozenset(m.context for m in deps.mvds
-                     if split_mvd(graph, deps, m) is not None)
+    return frozenset(mvd_splits(graph, deps, deps.mvds))
 
 
-def _closure_graph(graph: CategoryGraph, fds, mvds, rule: str,
-                   provenance: list | None) -> CategoryGraph:
-    """The closure driver: composites for the declared FD left-hand sides,
-    inferred-FD arrows recorded under `rule`, and MVD-object marks.  All
-    of it runs on one `GraphIndex` copy of the graph, and the closed graph
-    is built once, at the end."""
+def _closure_index(graph: CategoryGraph, fds, mvds, rule: str,
+                   provenance: list | None = None) -> GraphIndex:
+    """The closure driver: composites for the declared FD left-hand sides
+    and inferred-FD arrows recorded under `rule`, added in place to one
+    `GraphIndex` copy of the graph, which it returns.  It marks no MVD
+    object."""
     fds, mvds = tuple(fds), tuple(mvds)
     index = GraphIndex(graph)
     # only FD left-hand sides are materialized; MVD composites stay plain
@@ -182,21 +187,26 @@ def _closure_graph(graph: CategoryGraph, fds, mvds, rule: str,
     add_inferred_arrows(index, reps, [d.lhs for d in deps.fds + mvds],
                         reduced, mixed_closure_of(deps, contexts), rule,
                         provenance)
-    mvd_objs = identify_mvd_objects(index, deps)
-    if provenance is not None:
-        for name in sorted(mvd_objs - index.mvd_objects):
-            provenance.append({"object": name, "rule": "mvd-object"})
-    index.mvd_objects |= mvd_objs
-    return index.graph()
+    return index
 
 
 def fd_closure_graph(graph: CategoryGraph, fds,
                      provenance: list | None = None) -> CategoryGraph:
     """Relevant closure of a graph under its own arrows plus declared FDs."""
-    return _closure_graph(graph, fds, (), "fd-closure", provenance)
+    return _closure_index(graph, fds, (), "fd-closure", provenance).graph()
 
 
 def fd_mvd_closure_graph(graph: CategoryGraph, fds, mvds,
                          provenance: list | None = None) -> CategoryGraph:
-    """Closure under FDs and MVDs: inferred-FD arrows plus MVD-object marks."""
-    return _closure_graph(graph, fds, mvds, "fd-mvd-closure", provenance)
+    """Closure under FDs and MVDs: inferred-FD arrows, and marks on the
+    contexts that an MVD splits under the closed graph's own dependencies,
+    the ones the 2RR's elimination reads."""
+    fds, mvds = tuple(fds), tuple(mvds)
+    index = _closure_index(graph, fds, mvds, "fd-mvd-closure", provenance)
+    marks = mvd_splits(index, DependencySet(fds=graph_to_fds(index) + fds),
+                       mvds).keys()
+    if provenance is not None:
+        for name in sorted(marks - index.mvd_objects):
+            provenance.append({"object": name, "rule": "mvd-object"})
+    index.mvd_objects.update(marks)
+    return index.graph()

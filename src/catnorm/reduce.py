@@ -18,7 +18,7 @@ from .core import (
     graph_to_fds,
 )
 from .fdclosure import RedundancyIndex, derivable_without
-from .mvdclosure import fd_closure_graph, fd_mvd_closure_graph, split_mvd
+from .mvdclosure import _closure_index, fd_closure_graph, mvd_splits
 
 
 @dataclass
@@ -243,17 +243,17 @@ def _recontextualize(mvds, graph: GraphIndex,
     return tuple(out)
 
 
-def _remove_objects(graph: CategoryGraph, fds, mvds,
+def _remove_objects(index: GraphIndex, fds, mvds,
                     trace: ReductionTrace) -> CategoryGraph:
     """Split derivable MVD objects until none is left, then drop the
-    derivable limit objects.
+    derivable limit objects, in place on the closure's index.
 
     The marked MVD objects are the contexts that some MVD declared on them
-    would split.  Each step splits the first derivable one, in (context,
-    lhs, rhs) order of the split MVDs.  All of it runs on one
-    `GraphIndex`, and the graph is built once, at the end.
+    would split (`mvd_splits`).  Each step splits the first derivable one,
+    in (context, lhs, rhs) order of the split MVDs.  The graph is built
+    once, at the end.
 
-    The FDs are read off the graph once, and a context's split MVDs are
+    The FDs are read off the index once, and a context's split MVDs are
     computed once, from its own MVDs.  That is sound because a split object
     has no incoming arrow (`is_derivable`), nor have its fragments, so none
     of them is a projection target of any context, and no FD relativized to
@@ -267,27 +267,13 @@ def _remove_objects(graph: CategoryGraph, fds, mvds,
     target from the projection target its arrow factors through.  No
     derivable object loses its mark or gains an incoming arrow either.
     """
-    index = GraphIndex(graph)
     suffixes = _suffixes(index.object_map)
-    fd_deps = DependencySet(fds=graph_to_fds(graph) + tuple(fds))
+    fd_deps = DependencySet(fds=graph_to_fds(index) + tuple(fds))
     by_context: dict[str, list[MVD]] = {}
     for m in mvds:
         by_context.setdefault(m.context, []).append(m)
-    first: dict[str, MVD] = {}   # marked context -> its first split MVD
-
-    def mark(ctx: str) -> None:
-        """Mark the context when one of its MVDs splits it."""
-        deps = fd_deps.with_mvds(by_context[ctx])
-        splits = [s for s in (split_mvd(index, deps, m)
-                              for m in by_context[ctx]) if s is not None]
-        if splits:
-            first[ctx] = min(splits, key=lambda s: (tuple(sorted(s.lhs)),
-                                                    tuple(sorted(s.rhs))))
-            index.mvd_objects.add(ctx)
-
-    index.mvd_objects = set()
-    for ctx in by_context:
-        mark(ctx)
+    first = mvd_splits(index, fd_deps, mvds)  # marked context -> its split
+    index.mvd_objects = set(first)
     queue = sorted(ctx for ctx in first if is_derivable(ctx, index))
     while queue:
         name = queue.pop(0)
@@ -296,11 +282,13 @@ def _remove_objects(graph: CategoryGraph, fds, mvds,
         trace.decomposed_objects.append((name, chosen, names))
         for m in _recontextualize(by_context.pop(name), index, names):
             by_context.setdefault(m.context, []).append(m)
-        for ctx in names:
-            if ctx in by_context:
-                mark(ctx)
-                if ctx in first and is_derivable(ctx, index):
-                    insort(queue, ctx)
+        found = mvd_splits(index, fd_deps, [m for ctx in names
+                                            for m in by_context.get(ctx, ())])
+        first.update(found)
+        index.mvd_objects.update(found)
+        for ctx in found:
+            if is_derivable(ctx, index):
+                insort(queue, ctx)
 
     for name in list(index.object_map):
         if index.object_map[name].is_limit and is_derivable(name, index):
@@ -312,13 +300,15 @@ def _remove_objects(graph: CategoryGraph, fds, mvds,
 def second_reduced(graph: CategoryGraph, fds,
                    mvds) -> tuple[CategoryGraph, ReductionTrace]:
     """Closure under FDs and MVDs, derivable-object elimination, then the
-    redundant-arrow pass."""
+    redundant-arrow pass.  Only the elimination marks MVD objects; its
+    closures mark none."""
     trace = ReductionTrace()
     fds, mvds = tuple(fds), tuple(mvds)
-    close = lambda g: fd_mvd_closure_graph(g, fds, mvds)
+    close = lambda g: _closure_index(g, fds, mvds, "fd-mvd-closure")
     stripped = _remove_objects(close(graph), fds, mvds, trace)
     # re-close first: an eliminated object may have stood for a declared LHS
+    reclose = lambda g: close(g).graph()
     reduced = _prune_to_fixpoint(
-        close(_prune_redundant_arrows(stripped, fds)), close, fds)
+        reclose(_prune_redundant_arrows(stripped, fds)), reclose, fds)
     _record_removed(stripped, reduced, trace)
     return reduced, trace

@@ -67,6 +67,31 @@ def test_closure_records_mvd_objects(capsys, data_dir, tmp_path):
     assert any(p.get("rule") == "mvd-object" for p in doc["provenance"])
 
 
+def test_closure_marks_a_context_split_through_an_entity(capsys, tmp_path):
+    # a -> E -> b gives a -> b inside R only once closed; the 2RR splits R
+    # along a ->> b, and the closure marks R on the same closed graph
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({
+        "objects": [{"name": "R", "kind": "relationship"},
+                    {"name": "E", "kind": "entity"}]
+        + [{"name": n, "kind": "attribute"} for n in "abc"],
+        "arrows": [{"name": f"p_{n}", "source": "R", "target": n,
+                    "projection": True} for n in "abc"]
+        + [{"name": "f", "source": "a", "target": "E"},
+           {"name": "g", "source": "E", "target": "b"}],
+        "mvds": [{"lhs": ["a"], "rhs": ["b", "c"], "context": "R"}]}),
+        encoding="utf-8")
+    code, out, err = run(capsys, "closure", str(doc), "--stdout")
+    assert code == 0, err
+    closed, _ = json.JSONDecoder().raw_decode(out)
+    assert closed["mvd_objects"] == ["R"]
+    assert {"object": "R", "rule": "mvd-object"} in closed["provenance"]
+    code, out, err = run(capsys, "reduce", str(doc), "--level", "2",
+                         "--trace", "--stdout")
+    assert code == 0, err
+    assert '"event": "decomposed-object"' in out
+
+
 def test_reduce_emit_relational(capsys, data_dir, tmp_path):
     code, _, err = run(capsys, "reduce", "--level", "1",
                        "--emit", "relational",

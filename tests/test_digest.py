@@ -71,7 +71,7 @@ EXPECTED = {
     "reports-2rr":
         "df0f69046f4886eba2f1b7dedff6091b14d563b8ef8126bffe5c75814fef45d9",
     "fd-mvd-closure-bridged":
-        "33fbf371fe8c18966f235ef289818dd0ef72856ae77909f5c5450543a67278aa",
+        "d369fcf6eeb0db060f43a3a88eaf7673c8aad5fd1c4dbfa0fc91917ed5d86ffa",
     "second-reduced-bridged":
         "3864dc2bf3ef99542c0b8a711bf83c3518b95a9abe5324c9d7f343f4165151f5",
 }

@@ -13,11 +13,17 @@ from catnorm import (
     graph_to_fds,
     mvd,
     mvd_membership,
+    second_reduced,
     serialize_schema,
 )
-from catnorm import mvdclosure
+from catnorm import mvdclosure, reduce
 from catnorm.mvdclosure import mixed_closure_of
-from genschema import contexts_schema, random_fd_schema
+from genschema import (
+    bridged_mvd_schema,
+    contexts_schema,
+    random_fd_schema,
+    random_mvd_schema,
+)
 
 
 def test_basis_complement():
@@ -123,3 +129,43 @@ def test_closure_builds_each_context_part_once(monkeypatch):
     monkeypatch.setattr(mvdclosure, "_fd_targets", counted)
     fd_mvd_closure_graph(graph, deps.fds, deps.mvds)
     assert sorted(built) == sorted({m.context for m in deps.mvds})
+
+
+def marking_cases():
+    for seed in range(500):
+        yield random_mvd_schema(random.Random(seed))
+        yield bridged_mvd_schema(random.Random(seed))
+    for k in range(1, 13):
+        for seed in range(6):
+            yield contexts_schema(k, random.Random(seed))
+
+
+def test_closure_marks_what_the_elimination_starts_from(monkeypatch):
+    """One rule on the closed graph decides MVD objects for the closure and
+    the 2RR: the closure's new marks are the contexts that the elimination
+    starts from, and within the 2RR only the elimination decides."""
+    decided, mvd_splits = [], mvdclosure.mvd_splits
+
+    def recorded(graph, deps, mvds):
+        found = mvd_splits(graph, deps, mvds)
+        decided.append(set(found))
+        return found
+
+    def refused(*args):
+        raise AssertionError("a 2RR closure decided MVD objects")
+
+    bridged = 0
+    for graph, deps in marking_cases():
+        provenance: list = []
+        fd_mvd_closure_graph(graph, deps.fds, deps.mvds, provenance)
+        marked = {p["object"] for p in provenance
+                  if p["rule"] == "mvd-object"}
+        decided.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(reduce, "mvd_splits", recorded)
+            patched.setattr(mvdclosure, "mvd_splits", refused)
+            second_reduced(graph, deps.fds, deps.mvds)
+        assert marked == decided[0]
+        # the bridged family's arrows s -> E -> t split R only once closed
+        bridged += "E" in graph.object_map and bool(marked)
+    assert bridged > 100

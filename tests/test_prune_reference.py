@@ -36,6 +36,7 @@ from catnorm import (
     second_reduced,
 )
 from catnorm import reduce
+from catnorm.core import GraphIndex
 from catnorm.fdclosure import RedundancyIndex, derivable_without
 
 from closure import attribute_closure
@@ -248,7 +249,7 @@ def ref_second_reduced(graph, fds, mvds):
     trace = reduce.ReductionTrace()
     fds, mvds = tuple(fds), tuple(mvds)
     closed = fd_mvd_closure_graph(graph, fds, mvds)
-    stripped = reduce._remove_objects(closed, fds, mvds, trace)
+    stripped = reduce._remove_objects(GraphIndex(closed), fds, mvds, trace)
     reduced = reduce._prune_to_fixpoint(
         stripped, lambda g: fd_mvd_closure_graph(g, fds, mvds), fds)
     reduce._record_removed(stripped, reduced, trace)

@@ -16,6 +16,7 @@ from catnorm import (
     second_reduced,
 )
 from catnorm import reduce
+from catnorm.core import GraphIndex
 from equivalence import equivalent, is_redundant_arrow
 from genschema import contexts_schema, random_fd_schema
 
@@ -185,7 +186,7 @@ def test_remove_objects_builds_one_graph(monkeypatch):
 
     monkeypatch.setattr(CategoryGraph, "__post_init__", counted)
     trace = reduce.ReductionTrace()
-    reduce._remove_objects(closed, deps.fds, deps.mvds, trace)
+    reduce._remove_objects(GraphIndex(closed), deps.fds, deps.mvds, trace)
     monkeypatch.undo()
     assert len(trace.decomposed_objects) > 10
     assert len(built) <= 1

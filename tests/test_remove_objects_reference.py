@@ -27,6 +27,7 @@ from catnorm import (
     fd_mvd_closure_graph,
 )
 from catnorm import reduce
+from catnorm.core import GraphIndex
 from catnorm.reduce import ReductionTrace
 
 from genschema import contexts_schema, random_mvd_schema
@@ -200,7 +201,8 @@ def removal_matches_reference(name, closed, deps):
     they agree and return the reference's trace."""
     expected_trace, trace = ReductionTrace(), ReductionTrace()
     expected = ref_remove_objects(closed, deps.fds, deps.mvds, expected_trace)
-    got = reduce._remove_objects(closed, deps.fds, deps.mvds, trace)
+    got = reduce._remove_objects(GraphIndex(closed), deps.fds, deps.mvds,
+                                  trace)
     assert got.objects == expected.objects, name
     assert got.arrows == expected.arrows, name
     assert got.mvd_objects == expected.mvd_objects, name
