@@ -145,9 +145,9 @@ def test_reduce_left_reduces_a_declared_lhs(capsys, tmp_path, level):
 
 @pytest.mark.parametrize("lhs", [["x", "a"], ["a"]])
 def test_trivial_declared_fd_adds_nothing(capsys, tmp_path, lhs):
-    # {x, a} -> a says nothing; read as an FD into a, it let the basis
-    # block {a} of x ->> a in R become x -> a, and the 2RR keyed a table
-    # x(x, a, b) on x alone and dropped R as subsumed
+    # {x, a} -> a says nothing; read as an FD into a, it would turn the
+    # basis block {a} of x ->> a in R into x -> a, and the 2RR would key a
+    # table x(x, a, b) on x alone and drop R as subsumed
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({
         "objects": [{"name": "R", "kind": "relationship"}]
